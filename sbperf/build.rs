@@ -1,0 +1,19 @@
+//! Records the version of the compiler that builds the benchmark, so
+//! `sbperf all` can store it beside the numbers it measured.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    println!("cargo:rustc-env=SBPERF_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
