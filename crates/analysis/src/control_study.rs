@@ -146,24 +146,20 @@ pub fn shift_study(cfg: &ShiftStudyConfig, runner: &Runner) -> Result<(ShiftStud
             let static_report = sim
                 .execute(
                     ControlPolicy::Static,
-                    RunConfig::new(&requests).agenda(runner.agenda()).recorder(
-                        &mut PolicyLabeled {
-                            inner: &mut reg,
-                            policy: "static",
-                        },
-                    ),
+                    RunConfig::new(&requests).recorder(&mut PolicyLabeled {
+                        inner: &mut reg,
+                        policy: "static",
+                    }),
                 )
                 .expect("the empty fault script is always valid")
                 .summary;
             let dynamic_report = sim
                 .execute(
                     ControlPolicy::Dynamic,
-                    RunConfig::new(&requests).agenda(runner.agenda()).recorder(
-                        &mut PolicyLabeled {
-                            inner: &mut reg,
-                            policy: "dynamic",
-                        },
-                    ),
+                    RunConfig::new(&requests).recorder(&mut PolicyLabeled {
+                        inner: &mut reg,
+                        policy: "dynamic",
+                    }),
                 )
                 .expect("the empty fault script is always valid")
                 .summary;

@@ -69,27 +69,13 @@ pub fn policy_for(id: SchemeId) -> ClientPolicy {
 }
 
 /// Run the cross-check for one scheme at one bandwidth, over `samples`
-/// arrivals uniform in `[0, horizon)`.
+/// arrivals uniform in `[0, horizon)` with a seeded arrival-phase offset:
+/// the workload-seed axis of [`crate::runner::Experiment`]. Seed 0 is the
+/// legacy fixed grid; any other seed shifts every arrival by a
+/// deterministic fraction of the grid step, probing different broadcast
+/// phases.
 ///
 /// Returns `None` where the scheme is infeasible.
-#[deprecated(
-    note = "pre-`execute(RunConfig)` helper — use `crosscheck_seeded` (seed 0 reproduces \
-            this grid), or build an `Experiment` and call `runner::run_crosscheck`"
-)]
-#[must_use]
-pub fn crosscheck(
-    id: SchemeId,
-    bandwidth: Mbps,
-    horizon: Minutes,
-    samples: usize,
-) -> Option<CrossCheck> {
-    crosscheck_seeded(id, bandwidth, horizon, samples, 0)
-}
-
-/// [`crosscheck`] with a seeded arrival-phase offset: the workload-seed
-/// axis of [`crate::runner::Experiment`]. Seed 0 reproduces the legacy
-/// fixed grid; any other seed shifts every arrival by a deterministic
-/// fraction of the grid step, probing different broadcast phases.
 #[must_use]
 pub fn crosscheck_seeded(
     id: SchemeId,
@@ -182,29 +168,9 @@ pub fn crosscheck_seeded_recorded(
     })
 }
 
-/// Cross-check the whole lineup at one bandwidth.
-#[deprecated(
-    note = "pre-`execute(RunConfig)` serial helper — use `crosscheck_lineup_with` with an \
-            explicit `Runner`"
-)]
-#[must_use]
-pub fn crosscheck_lineup(
-    ids: &[SchemeId],
-    bandwidth: Mbps,
-    horizon: Minutes,
-    samples: usize,
-) -> Vec<CrossCheck> {
-    crosscheck_lineup_with(
-        ids,
-        bandwidth,
-        horizon,
-        samples,
-        &crate::runner::Runner::serial(),
-    )
-}
-
-/// [`crosscheck_lineup`] on an explicit [`crate::runner::Runner`] —
-/// schemes checked in parallel, output identical to the serial path.
+/// Cross-check the whole lineup at one bandwidth on an explicit
+/// [`crate::runner::Runner`] — schemes checked in parallel, output
+/// identical to the serial path.
 #[must_use]
 pub fn crosscheck_lineup_with(
     ids: &[SchemeId],

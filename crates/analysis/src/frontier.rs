@@ -33,11 +33,10 @@
 //! The report is a pure function of [`FrontierConfig`]: arrivals come
 //! from a splitmix-scrambled phase of the seed, every per-cell simulation
 //! runs through [`sb_sim::run::RunConfig`] (whose outcome is byte-
-//! identical across shard, thread and agenda choices, re-asserted here by
-//! a proptest over random grids), and the runner's `timed_map` reassembles
+//! identical across shard and thread choices, re-asserted here by a
+//! proptest over random grids), and the runner's `timed_map` reassembles
 //! parallel cells in index order. Timings go only to the manifest —
-//! `BENCH_frontier.json` is byte-identical across
-//! `--shards × --threads × --agenda`.
+//! `BENCH_frontier.json` is byte-identical across `--shards × --threads`.
 
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbps, Minutes};
@@ -49,7 +48,7 @@ use sb_core::series::Width;
 use sb_core::Skyscraper;
 use sb_pyramid::{AdaptiveQuasiHarmonic, HarmonicBroadcasting};
 use sb_sim::trace::{ClientModel, CycleRecordingClient, PausingClient, RecordingClient};
-use sb_sim::{AgendaKind, ClientPolicy, Request, RunConfig, SessionTrace, SystemSim, TraceSink};
+use sb_sim::{ClientPolicy, Request, RunConfig, SessionTrace, SystemSim, TraceSink};
 
 use crate::lineup::SchemeId;
 use crate::runner::Runner;
@@ -226,7 +225,6 @@ fn evaluate_scheme(
     sys: &SystemConfig,
     reqs: &[Request],
     shards: usize,
-    agenda: AgendaKind,
 ) -> Option<FrontierPoint> {
     let metrics = scheme.metrics(sys).ok()?;
     let plan = scheme.plan(sys).ok()?;
@@ -237,7 +235,6 @@ fn evaluate_scheme(
             RunConfig::new(reqs)
                 .shards(shards)
                 .threads(1)
-                .agenda(agenda)
                 .sink(&mut probe),
         )
         .expect("every catalog title is requested against its own plan");
@@ -310,7 +307,6 @@ fn build_cell(
     bandwidth: f64,
     num_videos: usize,
     shards: usize,
-    agenda: AgendaKind,
 ) -> FrontierCell {
     let mut sys = SystemConfig::paper_defaults(Mbps(bandwidth));
     sys.num_videos = num_videos;
@@ -320,15 +316,8 @@ fn build_cell(
     for w in sb_core::width::candidate_widths(k) {
         let scheme = Skyscraper::with_width(Width::Capped(w));
         let model = ClientPolicy::LatestFeasible;
-        if let Some(p) = evaluate_scheme(
-            format!("SB:W={w}"),
-            &scheme,
-            &model,
-            &sys,
-            &reqs,
-            shards,
-            agenda,
-        ) {
+        if let Some(p) = evaluate_scheme(format!("SB:W={w}"), &scheme, &model, &sys, &reqs, shards)
+        {
             points.push(p);
         }
     }
@@ -338,23 +327,14 @@ fn build_cell(
             continue;
         }
         let model = model_for(id, &sys);
-        if let Some(p) = evaluate_scheme(id.label(), &*scheme, &*model, &sys, &reqs, shards, agenda)
-        {
+        if let Some(p) = evaluate_scheme(id.label(), &*scheme, &*model, &sys, &reqs, shards) {
             points.push(p);
         }
     }
     if cfg.include_buggy_hb {
         let scheme = HarmonicBroadcasting::original();
         let model = RecordingClient::default();
-        if let Some(p) = evaluate_scheme(
-            "HB".to_string(),
-            &scheme,
-            &model,
-            &sys,
-            &reqs,
-            shards,
-            agenda,
-        ) {
+        if let Some(p) = evaluate_scheme("HB".to_string(), &scheme, &model, &sys, &reqs, shards) {
             points.push(p);
         }
     }
@@ -368,8 +348,8 @@ fn build_cell(
 
 /// Run the frontier study over the whole grid. Cells run in parallel on
 /// `runner` (reassembled in grid order); each cell's simulation uses
-/// `shards` shards and the runner's agenda backend. The report is
-/// byte-identical for every `(shards, threads, agenda)` choice.
+/// `shards` shards. The report is byte-identical for every
+/// `(shards, threads)` choice.
 #[must_use]
 pub fn frontier_report(cfg: &FrontierConfig, shards: usize, runner: &Runner) -> FrontierReport {
     let grid: Vec<(f64, usize)> = cfg
@@ -377,10 +357,7 @@ pub fn frontier_report(cfg: &FrontierConfig, shards: usize, runner: &Runner) -> 
         .iter()
         .flat_map(|&b| cfg.catalogs.iter().map(move |&m| (b, m)))
         .collect();
-    let agenda = runner.agenda();
-    let cells = runner.timed_map("frontier", &grid, |&(b, m)| {
-        build_cell(cfg, b, m, shards, agenda)
-    });
+    let cells = runner.timed_map("frontier", &grid, |&(b, m)| build_cell(cfg, b, m, shards));
     FrontierReport {
         config: cfg.clone(),
         cells,
@@ -438,18 +415,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn smoke_report(shards: usize, threads: usize, agenda: AgendaKind) -> FrontierReport {
-        let runner = Runner::new(threads)
-            .with_progress(false)
-            .with_agenda(agenda);
-        frontier_report(&FrontierConfig::smoke(), shards, &runner)
+    fn smoke_report() -> FrontierReport {
+        frontier_report(&FrontierConfig::smoke(), 1, &Runner::serial())
     }
 
     #[test]
     fn sb_on_the_frontier_at_the_paper_operating_point() {
         // §6's claim, as Pareto membership at B = 320, M = 10: at least
         // one SB width survives on both frontiers, and PPB never does.
-        let report = smoke_report(1, 1, AgendaKind::Heap);
+        let report = smoke_report();
         let cell = report.cell(320.0, 10).unwrap();
         assert!(
             cell.points
@@ -480,7 +454,7 @@ mod tests {
         // The newly pinned schemes: simulated latency never exceeds the
         // analytic promise, and the phase-invariant buffer profiles land
         // exactly on their closed forms.
-        let report = smoke_report(1, 1, AgendaKind::Heap);
+        let report = smoke_report();
         let cell = report.cell(320.0, 10).unwrap();
         for scheme in ["CTIFB", "AQHB", "FB", "STAG"] {
             let p = cell.points.iter().find(|p| p.scheme == scheme).unwrap();
@@ -528,13 +502,12 @@ mod tests {
     proptest! {
         // Two cases: each runs the full grid three times (once per knob
         // combination), and the heavy-K cells dominate the suite's
-        // wall-clock; the verify.sh 6-way CLI diff covers the same
-        // invariant at the paper grid.
+        // wall-clock; the verify.sh shards × threads CLI diff covers the
+        // same invariant at the paper grid.
         #![proptest_config(ProptestConfig::with_cases(2))]
 
-        // The frontier artifact is byte-identical across shard, thread and
-        // agenda knobs, for random grids — the CLI's 6-way diff gate, as a
-        // property.
+        // The frontier artifact is byte-identical across shard and thread
+        // knobs, for random grids — the CLI's diff gate, as a property.
         #[test]
         fn report_is_invariant_to_knobs_over_random_grids(
             bw_mask in 1u8..8,
@@ -563,17 +536,12 @@ mod tests {
                 seed,
                 include_buggy_hb: false,
             };
-            let base = serde_json::to_string(&frontier_report(
-                &cfg, 1, &Runner::new(1).with_progress(false).with_agenda(AgendaKind::Heap),
-            )).unwrap();
-            for (shards, threads, agenda) in
-                [(2usize, 2usize, AgendaKind::Wheel), (3, 2, AgendaKind::Heap)]
-            {
+            let base = serde_json::to_string(&frontier_report(&cfg, 1, &Runner::serial())).unwrap();
+            for (shards, threads) in [(2usize, 2usize), (3, 2)] {
                 let other = serde_json::to_string(&frontier_report(
-                    &cfg, shards,
-                    &Runner::new(threads).with_progress(false).with_agenda(agenda),
+                    &cfg, shards, &Runner::new(threads),
                 )).unwrap();
-                prop_assert_eq!(&base, &other, "knobs ({}, {}, {:?})", shards, threads, agenda);
+                prop_assert_eq!(&base, &other, "knobs ({}, {})", shards, threads);
             }
         }
     }

@@ -397,7 +397,6 @@ pub fn resilience_study(
                 sim.execute(
                     policy,
                     RunConfig::new(&requests)
-                        .agenda(runner.agenda())
                         .recorder(&mut Labeled {
                             inner: &mut reg,
                             extra: vec![("policy".to_string(), policy.to_string())],

@@ -175,12 +175,7 @@ pub fn scale_study(
         runner.timed_map("scale-grid", &cfg.shard_grid, |&shards| {
             let sim = SystemSim::new(&plan, sys.display_rate, ClientPolicy::LatestFeasible);
             let out = sim
-                .execute(
-                    RunConfig::new(&requests)
-                        .shards(shards)
-                        .seed(cfg.seed)
-                        .agenda(runner.agenda()),
-                )
+                .execute(RunConfig::new(&requests).shards(shards).seed(cfg.seed))
                 .expect("the grid run has no faults to reject");
             let max_peak = out.shard_peak_agenda.iter().copied().max().unwrap_or(0);
             (
@@ -205,8 +200,7 @@ pub fn scale_study(
             RunConfig::new(&requests)
                 .shards(flagship_shards)
                 .threads(runner.threads())
-                .seed(cfg.seed)
-                .agenda(runner.agenda()),
+                .seed(cfg.seed),
         )
         .expect("the flagship run has no faults to reject");
 

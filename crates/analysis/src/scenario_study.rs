@@ -30,12 +30,12 @@
 //!   scenario under the evening-surge profile vs the flat profile.
 //!
 //! Determinism contract (pinned by tests and `scripts/verify.sh`): the
-//! report and snapshot are byte-identical for every `--shards`,
-//! `--threads` and `--agenda` the study is invoked with. Scheme cells
+//! report and snapshot are byte-identical for every `--shards` and
+//! `--threads` the study is invoked with. Scheme cells
 //! fix their own shard count (the region count — a property of the
 //! scenario, never of the invocation); control cells run unsharded; a
-//! flagship pass re-runs the first scheme cell at the *caller's* shard,
-//! thread and agenda knobs and asserts it folds to the identical bytes,
+//! flagship pass re-runs the first scheme cell at the *caller's* shard
+//! and thread knobs and asserts it folds to the identical bytes,
 //! contributing only shard-invariant totals.
 
 use serde::{Deserialize, Serialize};
@@ -260,8 +260,8 @@ pub struct PresetReport {
     pub diurnal: DiurnalCell,
 }
 
-/// The whole study. Byte-identical for every `--shards`, `--threads`
-/// and `--agenda` the invocation used.
+/// The whole study. Byte-identical for every `--shards` and `--threads`
+/// the invocation used.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioReport {
     /// The configuration that produced this report.
@@ -397,9 +397,8 @@ fn scheme_cell(
     reqs: &[ScenarioRequest],
     meta: &[(usize, f64)],
     classes: &[(AccessClass, usize)],
-    knobs: (usize, usize, sb_sim::AgendaKind),
+    (shards, threads): (usize, usize),
 ) -> (SchemeCell, SessionSummary) {
-    let (shards, threads, agenda) = knobs;
     let sim_reqs: Vec<Request> = reqs
         .iter()
         .map(|r| Request {
@@ -416,7 +415,6 @@ fn scheme_cell(
             RunConfig::new(&sim_reqs)
                 .shards(shards)
                 .threads(threads)
-                .agenda(agenda)
                 .partition(&map)
                 .sink(&mut fold),
         )
@@ -435,9 +433,9 @@ fn scheme_cell(
 /// Run the study. Presets run in parallel on `runner`; every scheme cell
 /// fixes its shard count to the scenario's region count, and a flagship
 /// pass re-runs the first cell at `flagship_shards` with the runner's
-/// thread pool and agenda, asserting it folds to identical bytes. The
-/// report and snapshot are byte-identical for every `flagship_shards`,
-/// thread count and agenda backend.
+/// thread pool, asserting it folds to identical bytes. The report and
+/// snapshot are byte-identical for every `flagship_shards` and thread
+/// count.
 ///
 /// # Errors
 /// Returns a planning error when `per_video_mbps` cannot sustain a
@@ -507,7 +505,7 @@ pub fn scenario_study(
                     &reqs,
                     &meta,
                     &classes,
-                    (regions, 1, runner.agenda()),
+                    (regions, 1),
                 );
                 if first_fold.is_none() {
                     first_fold = Some(fold);
@@ -528,7 +526,7 @@ pub fn scenario_study(
             };
             let flash_reqs = to_workload(&premiere.generate(scenario));
             let run_control = |policy, faults: Option<&FaultScript>, reqs| {
-                let base = RunConfig::new(reqs).agenda(runner.agenda());
+                let base = RunConfig::new(reqs);
                 match faults {
                     Some(script) => csim
                         .execute(
@@ -581,7 +579,7 @@ pub fn scenario_study(
                 &surge_reqs,
                 &surge_meta,
                 &classes,
-                (regions, 1, runner.agenda()),
+                (regions, 1),
             );
             let diurnal = DiurnalCell {
                 sessions: surge_cell.overall.sessions,
@@ -613,7 +611,7 @@ pub fn scenario_study(
         });
 
     // The flagship pass: the first preset's first scheme again, at the
-    // caller's shard count, thread pool and agenda. Only shard-invariant
+    // caller's shard count and thread pool. Only shard-invariant
     // totals enter the report; the fold must match the cell's bytes.
     let prep = &preps[0];
     let (classes, class_of_region) = class_layout(&prep.scenario);
@@ -646,7 +644,6 @@ pub fn scenario_study(
             RunConfig::new(&sim_reqs)
                 .shards(flagship_shards)
                 .threads(runner.threads())
-                .agenda(runner.agenda())
                 .partition(&map)
                 .sink(&mut fold),
         )
@@ -771,7 +768,6 @@ pub fn render_scenario(report: &ScenarioReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_sim::AgendaKind;
 
     /// Unit-test scale: the full preset × scheme grid is expensive in
     /// debug builds (HB alone schedules ~512 receptions per session), so
@@ -846,9 +842,8 @@ mod tests {
     fn report_is_invariant_to_flagship_knobs() {
         let cfg = tiny();
         let (base, base_snap) = scenario_study(&cfg, 1, &Runner::serial()).unwrap();
-        for (shards, threads, agenda) in [(2, 4, AgendaKind::Heap), (4, 2, AgendaKind::Wheel)] {
-            let (r, s) =
-                scenario_study(&cfg, shards, &Runner::new(threads).with_agenda(agenda)).unwrap();
+        for (shards, threads) in [(2, 4), (4, 2)] {
+            let (r, s) = scenario_study(&cfg, shards, &Runner::new(threads)).unwrap();
             assert_eq!(r, base, "flagship shards {shards}, threads {threads}");
             assert_eq!(s, base_snap);
             assert_eq!(

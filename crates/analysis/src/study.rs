@@ -27,7 +27,8 @@
 //! halves (`--rates`, `--mode sweep`) dispatch through here like
 //! everything else.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sb_batching::BatchPolicy;
 use sb_control::ControlConfig;
@@ -56,8 +57,10 @@ use crate::{figures, hybrid_study};
 /// defaults-on-absence behaviour and the same error strings
 /// (`--{key}: bad number `{v}``, `--{key}: bad integer `{v}``), so
 /// moving the parse into the studies changed no user-visible message.
+/// Every lookup records its key, so a front end can reject the flags no
+/// study read ([`StudyOpts::read_keys`]).
 #[derive(Debug, Clone, Default)]
-pub struct StudyOpts(BTreeMap<String, String>);
+pub struct StudyOpts(BTreeMap<String, String>, RefCell<BTreeSet<String>>);
 
 impl StudyOpts {
     /// Build from any `(key, value)` pairs (keys without the `--`).
@@ -72,6 +75,7 @@ impl StudyOpts {
                 .into_iter()
                 .map(|(k, v)| (k.into(), v.into()))
                 .collect(),
+            RefCell::default(),
         )
     }
 
@@ -83,7 +87,14 @@ impl StudyOpts {
     /// The raw value of `--{key}`, if given.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.1.borrow_mut().insert(key.to_string());
         self.0.get(key).map(String::as_str)
+    }
+
+    /// Every key looked up so far, whether or not it was given.
+    #[must_use]
+    pub fn read_keys(&self) -> Vec<String> {
+        self.1.borrow().iter().cloned().collect()
     }
 
     /// `--{key}` as an `f64`, or `default` when absent.
@@ -91,7 +102,7 @@ impl StudyOpts {
     /// # Errors
     /// `--{key}: bad number `{v}`` when the value does not parse.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.0.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
         }
@@ -102,7 +113,7 @@ impl StudyOpts {
     /// # Errors
     /// `--{key}: bad integer `{v}`` when the value does not parse.
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.0.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
         }
@@ -111,16 +122,13 @@ impl StudyOpts {
     /// `--{key}` as a string, or `default` when absent.
     #[must_use]
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.0
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.get(key).unwrap_or(default).to_string()
     }
 }
 
 /// Everything a [`Study`] receives from its caller: the flag map plus
-/// the execution knobs the common `--threads` / `--shards` / `--seed` /
-/// `--agenda` parser already validated.
+/// the execution knobs the common `--threads` / `--shards` / `--seed`
+/// parser already validated.
 pub struct StudyCtx<'a> {
     /// Study-specific flags (never the execution knobs).
     pub opts: &'a StudyOpts,
@@ -128,7 +136,7 @@ pub struct StudyCtx<'a> {
     pub shards: usize,
     /// `--seed`, when given; each study applies its own default.
     pub seed: Option<u64>,
-    /// The worker pool, already driving the requested agenda backend.
+    /// The worker pool.
     pub runner: &'a Runner,
 }
 
@@ -794,6 +802,18 @@ mod tests {
         assert_eq!(
             parse_profile(&StudyOpts::from_pairs([("profile", "warm")]), || 1, || 2).unwrap_err(),
             "--profile: expected `smoke` or `paper`, got `warm`"
+        );
+    }
+
+    #[test]
+    fn opts_record_every_key_looked_up() {
+        let o = StudyOpts::from_pairs([("rate", "2"), ("sesions", "9")]);
+        assert_eq!(o.get_f64("rate", 1.0).unwrap(), 2.0);
+        assert_eq!(o.get_usize("sessions", 5).unwrap(), 5);
+        assert_eq!(
+            o.read_keys(),
+            ["rate", "sessions"],
+            "the typo was never read"
         );
     }
 

@@ -33,7 +33,7 @@ use sb_metrics::Snapshot;
 use sb_sim::policy::ClientPolicy;
 use sb_sim::system::{Request, SystemSim};
 use sb_sim::trace::{ClientModel, PausingClient, RecordingClient};
-use sb_sim::{AgendaKind, Engine, EngineStats, RunConfig, SessionSummary};
+use sb_sim::{Engine, EngineStats, RunConfig, SessionSummary};
 
 use crate::lineup::SchemeId;
 use crate::runner::Runner;
@@ -180,11 +180,7 @@ fn phase_of(seed: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn run_cell(
-    cfg: &ThroughputConfig,
-    id: SchemeId,
-    agenda: AgendaKind,
-) -> Option<(ThroughputCell, Snapshot)> {
+fn run_cell(cfg: &ThroughputConfig, id: SchemeId) -> Option<(ThroughputCell, Snapshot)> {
     let sys = SystemConfig::paper_defaults(cfg.bandwidth);
     let plan = id.build().plan(&sys).ok()?;
     let videos = cfg.videos.min(plan.num_videos().max(1));
@@ -197,7 +193,7 @@ fn run_cell(
         .collect();
 
     let sim = SystemSim::new(&plan, sys.display_rate, model_for(id));
-    let out = sim.execute(RunConfig::new(&requests).agenda(agenda)).ok()?;
+    let out = sim.execute(RunConfig::new(&requests)).ok()?;
     let summary = out.fold;
     let engine = out.stats;
 
@@ -222,19 +218,11 @@ fn run_cell(
 /// visible outside the test suite.
 #[must_use]
 pub fn agenda_churn(live_target: usize, cancellations: u64) -> ChurnReport {
-    agenda_churn_on(AgendaKind::Heap, live_target, cancellations)
-}
-
-/// [`agenda_churn`] on an explicit engine backend. The compaction purge
-/// lives in the engine, above the agenda, so the bound holds — and the
-/// serialized report is identical — for heap and wheel alike.
-#[must_use]
-pub fn agenda_churn_on(agenda: AgendaKind, live_target: usize, cancellations: u64) -> ChurnReport {
     // The compaction floor below which the engine never purges; keep in
     // sync with `sb_sim::engine::COMPACT_FLOOR` (the churn test there
     // pins the same bound).
     const COMPACT_FLOOR: u64 = 32;
-    let mut eng: Engine<u64> = Engine::with_agenda(agenda);
+    let mut eng: Engine<u64> = Engine::new();
     let far = 1_000_000_000u64;
     let mut ring: std::collections::VecDeque<_> = (0..live_target as u64)
         .map(|i| eng.schedule_at(Ticks(far + i), i))
@@ -266,11 +254,9 @@ pub fn throughput_study(
     runner: &Runner,
 ) -> Result<(ThroughputReport, Snapshot)> {
     let cells: Vec<Option<(ThroughputCell, Snapshot)>> =
-        runner.timed_map("throughput-grid", &cfg.schemes, |&id| {
-            run_cell(cfg, id, runner.agenda())
-        });
+        runner.timed_map("throughput-grid", &cfg.schemes, |&id| run_cell(cfg, id));
 
-    let churn = agenda_churn_on(runner.agenda(), cfg.churn_live, cfg.churn_cancels);
+    let churn = agenda_churn(cfg.churn_live, cfg.churn_cancels);
 
     let mut snapshot = Snapshot::default();
     let mut out = Vec::new();
@@ -378,22 +364,6 @@ mod tests {
             report.engine.scheduled,
             report.engine.fired + report.engine.cancelled
         );
-    }
-
-    #[test]
-    fn wheel_study_serializes_identically_to_heap() {
-        // In-memory reports differ only in the non-serialized wheel
-        // diagnostics, so byte identity is the contract to pin here.
-        let cfg = ThroughputConfig::smoke();
-        let (heap, h_snap) = throughput_study(&cfg, &Runner::serial()).unwrap();
-        let wheel_runner = Runner::serial().with_agenda(AgendaKind::Wheel);
-        let (wheel, w_snap) = throughput_study(&cfg, &wheel_runner).unwrap();
-        assert_eq!(
-            serde_json::to_string(&heap).unwrap(),
-            serde_json::to_string(&wheel).unwrap()
-        );
-        assert_eq!(h_snap, w_snap);
-        assert!(wheel.churn.bounded(), "compaction must bound the wheel too");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use sb_core::Skyscraper;
 use sb_pyramid::PyramidBroadcasting;
 use sb_sim::engine::Engine;
 use sb_sim::policy::{schedule_client, ClientPolicy};
-use sb_sim::AgendaKind;
 use vod_units::{Mbps, Minutes, TickDuration, Ticks};
 
 fn bench_schedule_client(c: &mut Criterion) {
@@ -67,60 +66,48 @@ fn bench_buffer_profile(c: &mut Criterion) {
     });
 }
 
-/// The heap-vs-wheel comparison the `--agenda` flag exposes: the same
-/// 100k-event self-scheduling cascade on each backend. Fire order (and
-/// so `fired`) is bitwise identical; only the per-operation cost of the
-/// event store differs.
+/// A 100k-event self-scheduling cascade through the engine.
 fn bench_engine_throughput(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_100k_events");
-    for kind in [AgendaKind::Heap, AgendaKind::Wheel] {
-        g.bench_function(BenchmarkId::new(kind.name(), 100_000), |b| {
-            b.iter(|| {
-                let mut eng: Engine<u64> = Engine::with_agenda(kind);
-                for i in 0..1_000u64 {
-                    eng.schedule_at(Ticks(i * 7 % 991), i);
+    c.bench_function("engine_100k_events", |b| {
+        b.iter(|| {
+            let mut eng: Engine<u64> = Engine::new();
+            for i in 0..1_000u64 {
+                eng.schedule_at(Ticks(i * 7 % 991), i);
+            }
+            let mut fired = 0u64;
+            eng.run(|eng, _, n| {
+                fired += 1;
+                if n < 99_000 {
+                    eng.schedule_in(TickDuration(3), n + 1_000);
                 }
-                let mut fired = 0u64;
-                eng.run(|eng, _, n| {
-                    fired += 1;
-                    if n < 99_000 {
-                        eng.schedule_in(TickDuration(3), n + 1_000);
-                    }
-                });
-                black_box(fired)
-            })
-        });
-    }
-    g.finish();
+            });
+            black_box(fired)
+        })
+    });
 }
 
 /// Cancel-heavy churn with far-future deadlines — the workload the
-/// session sim's watchdog timers produce, and the one where backend
-/// push/cancel cost dominates. Exercises the wheel's overflow level
-/// (deadlines land beyond the wheel span from the cursor).
+/// session sim's watchdog timers produce, and the one where push/cancel
+/// cost and compaction dominate.
 fn bench_agenda_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("agenda_churn_20k_cancels");
-    for kind in [AgendaKind::Heap, AgendaKind::Wheel] {
-        g.bench_function(BenchmarkId::new(kind.name(), 20_000), |b| {
-            b.iter(|| {
-                let mut eng: Engine<u64> = Engine::with_agenda(kind);
-                let far = 1u64 << 40;
-                let mut ring: std::collections::VecDeque<_> = (0..128u64)
-                    .map(|i| eng.schedule_at(Ticks(far + i), i))
-                    .collect();
-                for i in 0..20_000u64 {
-                    if let Some(id) = ring.pop_front() {
-                        eng.cancel(id);
-                    }
-                    ring.push_back(eng.schedule_at(Ticks(far + 128 + i), i));
+    c.bench_function("agenda_churn_20k_cancels", |b| {
+        b.iter(|| {
+            let mut eng: Engine<u64> = Engine::new();
+            let far = 1u64 << 40;
+            let mut ring: std::collections::VecDeque<_> = (0..128u64)
+                .map(|i| eng.schedule_at(Ticks(far + i), i))
+                .collect();
+            for i in 0..20_000u64 {
+                if let Some(id) = ring.pop_front() {
+                    eng.cancel(id);
                 }
-                let mut fired = 0u64;
-                eng.run(|_, _, _| fired += 1);
-                black_box(fired)
-            })
-        });
-    }
-    g.finish();
+                ring.push_back(eng.schedule_at(Ticks(far + 128 + i), i));
+            }
+            let mut fired = 0u64;
+            eng.run(|_, _, _| fired += 1);
+            black_box(fired)
+        })
+    });
 }
 
 fn bench_pausing_client(c: &mut Criterion) {

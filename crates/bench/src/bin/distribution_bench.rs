@@ -4,10 +4,10 @@
 //! dispatched through the [`sb_analysis::study`] registry. Emits
 //! `BENCH_distribution.json` unless `--json` names another path.
 //!
-//! `--shards <n>` picks the flagship pass's shard count, `--threads <n>`
-//! the worker pool and `--agenda heap|wheel` the engine backend — the
-//! JSON artifact and stdout are byte-identical for every combination
-//! (the determinism gate `scripts/verify.sh` diffs them). Wall-clock
+//! `--shards <n>` picks the flagship pass's shard count and
+//! `--threads <n>` the worker pool — the JSON artifact and stdout are
+//! byte-identical for every combination (the determinism gate
+//! `scripts/verify.sh` diffs them). Wall-clock
 //! rates go to stderr and to the sibling nondeterministic
 //! `BENCH_wallclock.json`, which the byte-identity smokes exclude.
 
@@ -47,23 +47,17 @@ fn main() {
     );
     // Wall-clock rates are machine- and thread-dependent: stderr only,
     // so stdout and the JSON artifact stay byte-identical across
-    // `--shards`, `--threads` and `--agenda`.
+    // `--shards` and `--threads`.
     eprintln!(
-        "wall: {:.3}s at --shards {} --threads {} --agenda {}, {:.0} sessions/sec",
+        "wall: {:.3}s at --shards {} --threads {}, {:.0} sessions/sec",
         wall,
         args.shards,
         runner.threads(),
-        args.agenda.name(),
         out.sessions as f64 / wall,
     );
     WallclockReport::new(
         "distribution_bench",
-        vec![WallclockRun::new(
-            args.agenda,
-            out.sessions,
-            out.events,
-            wall,
-        )],
+        vec![WallclockRun::new(out.sessions, out.events, wall)],
     )
     .write_beside(args.json.as_deref());
     args.maybe_write_json_str(&out.report_json);

@@ -6,11 +6,10 @@
 //! [`sb_analysis::study`] registry. Emits `BENCH_frontier.json` unless
 //! `--json` names another path.
 //!
-//! `--shards <n>` picks the per-cell shard count, `--threads <n>` the
-//! worker pool and `--agenda heap|wheel` the engine backend — the JSON
-//! artifact and stdout are byte-identical for every combination (the
-//! determinism gate `scripts/verify.sh` diffs them). `--sessions <n>`
-//! overrides the simulated arrivals per cell. Wall-clock goes to stderr.
+//! `--shards <n>` picks the per-cell shard count and `--threads <n>` the
+//! worker pool — the JSON artifact and stdout are byte-identical for
+//! every combination (the determinism gate `scripts/verify.sh` diffs
+//! them). `--sessions <n>` overrides the simulated arrivals per cell. Wall-clock goes to stderr.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -41,13 +40,12 @@ fn main() {
     print!("{}", out.rendered);
     // Wall-clock is machine- and thread-dependent: stderr only, so
     // stdout and the JSON artifact stay byte-identical across
-    // `--shards`, `--threads` and `--agenda`.
+    // `--shards` and `--threads`.
     eprintln!(
-        "wall: {:.3}s at --shards {} --threads {} --agenda {}",
+        "wall: {:.3}s at --shards {} --threads {}",
         wall,
         args.shards,
         runner.threads(),
-        args.agenda.name(),
     );
     args.maybe_write_json_str(&out.report_json);
     args.finish(&runner);

@@ -4,12 +4,12 @@
 //! [`sb_analysis::study`] registry. Emits `BENCH_recovery.json` unless
 //! `--json` names another path.
 //!
-//! `--threads <n>` picks the worker pool, `--agenda heap|wheel` the
-//! engine backend and `--shards <n>` the supervised shard count — the
-//! JSON artifact and stdout are byte-identical for every combination
-//! (the determinism gate `scripts/verify.sh` diffs them). `--sessions
-//! <n>` resizes the arrival grid. Wall-clock goes to stderr and to the
-//! sibling nondeterministic `BENCH_wallclock.json`.
+//! `--threads <n>` picks the worker pool and `--shards <n>` the
+//! supervised shard count — the JSON artifact and stdout are
+//! byte-identical for every combination (the determinism gate
+//! `scripts/verify.sh` diffs them). `--sessions <n>` resizes the
+//! arrival grid. Wall-clock goes to stderr and to the sibling
+//! nondeterministic `BENCH_wallclock.json`.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -44,20 +44,14 @@ fn main() {
     // over the same grid (replays re-run sessions on top of that, but
     // they are part of the measurement, not the denominator).
     eprintln!(
-        "wall: {:.3}s at --threads {} --agenda {}, {:.0} sessions/sec over the grid",
+        "wall: {:.3}s at --threads {}, {:.0} sessions/sec over the grid",
         wall,
         runner.threads(),
-        args.agenda.name(),
         out.sessions as f64 / wall,
     );
     WallclockReport::new(
         "recovery_bench",
-        vec![WallclockRun::new(
-            args.agenda,
-            out.sessions,
-            out.events,
-            wall,
-        )],
+        vec![WallclockRun::new(out.sessions, out.events, wall)],
     )
     .write_beside(args.json.as_deref());
     args.maybe_write_json_str(&out.report_json);

@@ -4,10 +4,10 @@
 //! registry. Emits `BENCH_scale.json` unless `--json` names another
 //! path.
 //!
-//! `--shards <n>` picks the flagship pass's shard count, `--threads <n>`
-//! the worker pool and `--agenda heap|wheel` the engine backend — the
-//! JSON artifact and stdout are byte-identical for every combination
-//! (the determinism gate `scripts/verify.sh` diffs them). Wall-clock
+//! `--shards <n>` picks the flagship pass's shard count and
+//! `--threads <n>` the worker pool — the JSON artifact and stdout are
+//! byte-identical for every combination (the determinism gate
+//! `scripts/verify.sh` diffs them). Wall-clock
 //! sessions/sec go to stderr and to the sibling nondeterministic
 //! `BENCH_wallclock.json`, which the byte-identity smokes exclude.
 
@@ -48,24 +48,18 @@ fn main() {
     );
     // Wall-clock rates are machine- and thread-dependent: stderr only,
     // so stdout and the JSON artifact stay byte-identical across
-    // `--shards`, `--threads` and `--agenda`. The study's rate
+    // `--shards` and `--threads`. The study's rate
     // denominators already count every grid cell plus the flagship pass.
     eprintln!(
-        "wall: {:.3}s at --shards {} --threads {} --agenda {}, {:.0} sessions/sec over the grid",
+        "wall: {:.3}s at --shards {} --threads {}, {:.0} sessions/sec over the grid",
         wall,
         args.shards,
         runner.threads(),
-        args.agenda.name(),
         out.sessions as f64 / wall,
     );
     WallclockReport::new(
         "scale_bench",
-        vec![WallclockRun::new(
-            args.agenda,
-            out.sessions,
-            out.events,
-            wall,
-        )],
+        vec![WallclockRun::new(out.sessions, out.events, wall)],
     )
     .write_beside(args.json.as_deref());
     args.maybe_write_json_str(&out.report_json);

@@ -6,17 +6,14 @@
 //! The JSON is fully deterministic (simulated-time rates only), so runs
 //! with different `--threads` counts diff clean. Wall-clock rates are
 //! machine truth, not simulation truth: they go to stderr and to the
-//! sibling `BENCH_wallclock.json` — one timed pass per engine backend
-//! (`--agenda` first, the other for comparison) — which the byte-identity
-//! smokes in `scripts/verify.sh` explicitly exclude.
+//! sibling `BENCH_wallclock.json`, which the byte-identity smokes in
+//! `scripts/verify.sh` explicitly exclude.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sb_analysis::runner::Runner;
 use sb_analysis::study::{StudyCtx, StudyOpts};
 use sb_bench::{WallclockReport, WallclockRun};
-use sb_sim::AgendaKind;
 
 /// The deepest agenda any study cell reached, read back from the
 /// serialized report (the registry hands the artifact over as JSON).
@@ -73,49 +70,17 @@ fn main() {
     // `--threads` counts. The study's event denominator includes the
     // churn half (fired + cancelled).
     eprintln!(
-        "wall: {:.3}s on {}, {:.0} sessions/sec, {:.0} events/sec, peak agenda {}",
+        "wall: {:.3}s, {:.0} sessions/sec, {:.0} events/sec, peak agenda {}",
         wall,
-        args.agenda.name(),
         out.sessions as f64 / wall,
         out.events as f64 / wall,
         peak_agenda(&out.report_json),
     );
     args.maybe_write_json_str(&out.report_json);
 
-    // The perf trajectory: re-time the same study on the other backend
-    // and write both rates beside the deterministic artifact. The
-    // comparison pass's report must serialize to the same bytes — the
-    // backend is an execution knob, never a result knob.
-    let other = match args.agenda {
-        AgendaKind::Heap => AgendaKind::Wheel,
-        AgendaKind::Wheel => AgendaKind::Heap,
-    };
-    let other_runner = Runner::new(args.threads).with_agenda(other);
-    let other_ctx = StudyCtx {
-        opts: &opts,
-        shards: args.shards,
-        seed: None,
-        runner: &other_runner,
-    };
-    let t1 = Instant::now();
-    let other_out = study.run(&other_ctx).expect("valid default config");
-    let other_wall = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        out.report_json, other_out.report_json,
-        "heap and wheel passes diverged — agenda determinism is broken",
-    );
-    eprintln!(
-        "wall: {:.3}s on {} (comparison pass), {:.0} sessions/sec",
-        other_wall,
-        other.name(),
-        other_out.sessions as f64 / other_wall,
-    );
     let wallclock = WallclockReport::new(
         "throughput_bench",
-        vec![
-            WallclockRun::new(args.agenda, out.sessions, out.events, wall),
-            WallclockRun::new(other, other_out.sessions, other_out.events, other_wall),
-        ],
+        vec![WallclockRun::new(out.sessions, out.events, wall)],
     );
     wallclock.write_beside(args.json.as_deref());
     args.finish(&runner);

@@ -22,7 +22,6 @@
 use std::path::PathBuf;
 
 use sb_analysis::runner::Runner;
-use sb_sim::AgendaKind;
 use serde::{Deserialize, Serialize};
 
 /// Parsed command line shared by every figure binary.
@@ -40,9 +39,6 @@ pub struct Args {
     /// Results are byte-identical for every value; only wall-clock and
     /// per-shard footprints (stderr) change.
     pub shards: usize,
-    /// `--agenda heap|wheel`: engine event-store backend (default heap).
-    /// Results are byte-identical for either; only wall-clock changes.
-    pub agenda: AgendaKind,
     /// `--sessions <n>`: session-count override for binaries that size
     /// their own workload (`scale_bench`); `None` keeps the binary's
     /// default.
@@ -87,11 +83,6 @@ impl Args {
                     out.shards = n.parse().expect("--shards: not an integer");
                     assert!(out.shards >= 1, "--shards must be at least 1");
                 }
-                "--agenda" => {
-                    let kind = it.next().expect("--agenda requires heap|wheel");
-                    out.agenda = AgendaKind::parse(&kind)
-                        .unwrap_or_else(|| panic!("--agenda: expected heap|wheel, got `{kind}`"));
-                }
                 "--sessions" => {
                     let n = it.next().expect("--sessions requires a count");
                     out.sessions = Some(n.parse().expect("--sessions: not an integer"));
@@ -99,8 +90,7 @@ impl Args {
                 "--progress" => out.progress = true,
                 other => panic!(
                     "unknown argument `{other}` (supported: --json <path> --threads <n> \
-                     --shards <n> --agenda heap|wheel --sessions <n> --manifest <path> \
-                     --progress)"
+                     --shards <n> --sessions <n> --manifest <path> --progress)"
                 ),
             }
         }
@@ -110,9 +100,7 @@ impl Args {
     /// The [`Runner`] this invocation asked for.
     #[must_use]
     pub fn runner(&self) -> Runner {
-        Runner::new(self.threads)
-            .with_progress(self.progress)
-            .with_agenda(self.agenda)
+        Runner::new(self.threads).with_progress(self.progress)
     }
 
     /// Write `value` as pretty JSON if `--json` was given.
@@ -148,7 +136,7 @@ impl Args {
     }
 }
 
-/// One timed pass of a wall-clock benchmark on one engine backend.
+/// One timed pass of a wall-clock benchmark.
 ///
 /// Everything here is *nondeterministic by design* — wall seconds vary
 /// run to run and machine to machine — which is why these records go to
@@ -156,8 +144,6 @@ impl Args {
 /// into the deterministic study JSON that `scripts/verify.sh` diffs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WallclockRun {
-    /// Backend name (`heap` or `wheel`).
-    pub backend: String,
     /// Sessions streamed through the simulator in this pass.
     pub sessions: usize,
     /// Engine events fired in this pass.
@@ -173,10 +159,9 @@ pub struct WallclockRun {
 impl WallclockRun {
     /// Build a run record from raw counts and a measured duration.
     #[must_use]
-    pub fn new(backend: AgendaKind, sessions: usize, events: u64, wall_secs: f64) -> Self {
+    pub fn new(sessions: usize, events: u64, wall_secs: f64) -> Self {
         let secs = wall_secs.max(1e-9);
         Self {
-            backend: backend.name().to_string(),
             sessions,
             events,
             wall_secs,
@@ -186,40 +171,22 @@ impl WallclockRun {
     }
 }
 
-/// The committed wall-clock perf trajectory: per-backend throughput of
-/// one benchmark binary, plus the wheel-over-heap speedup.
+/// The wall-clock throughput of one benchmark binary's timed passes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WallclockReport {
     /// Which binary produced this (`throughput_bench`, `scale_bench`).
     pub benchmark: String,
     /// One record per timed pass, in execution order.
     pub runs: Vec<WallclockRun>,
-    /// Wheel sessions/sec over heap sessions/sec (1.0 when either side
-    /// is missing). Indicative only — single-run timings are noisy.
-    pub wheel_speedup: f64,
 }
 
 impl WallclockReport {
-    /// Assemble a report, deriving the speedup from the best pass of
-    /// each backend.
+    /// Assemble a report.
     #[must_use]
     pub fn new(benchmark: &str, runs: Vec<WallclockRun>) -> Self {
-        let best = |name: &str| {
-            runs.iter()
-                .filter(|r| r.backend == name)
-                .map(|r| r.sessions_per_sec)
-                .fold(f64::NAN, f64::max)
-        };
-        let (heap, wheel) = (best("heap"), best("wheel"));
-        let wheel_speedup = if heap.is_finite() && wheel.is_finite() && heap > 0.0 {
-            wheel / heap
-        } else {
-            1.0
-        };
         Self {
             benchmark: benchmark.to_string(),
             runs,
-            wheel_speedup,
         }
     }
 
@@ -295,57 +262,24 @@ mod tests {
     }
 
     #[test]
-    fn parses_agenda_and_sessions() {
-        let a = Args::parse_from(["--agenda", "wheel", "--sessions", "500000"].map(str::to_string));
-        assert_eq!(a.agenda, AgendaKind::Wheel);
+    fn parses_sessions() {
+        let a = Args::parse_from(["--sessions", "500000"].map(str::to_string));
         assert_eq!(a.sessions, Some(500_000));
-        assert_eq!(a.runner().agenda(), AgendaKind::Wheel);
-        let d = Args::parse_from(std::iter::empty());
-        assert_eq!(d.agenda, AgendaKind::Heap);
-        assert_eq!(d.sessions, None);
+        assert_eq!(Args::parse_from(std::iter::empty()).sessions, None);
     }
 
     #[test]
-    #[should_panic(expected = "expected heap|wheel")]
-    fn rejects_unknown_agenda() {
-        let _ = Args::parse_from(["--agenda", "btree"].map(str::to_string));
-    }
-
-    #[test]
-    fn wallclock_report_derives_speedup_from_best_passes() {
-        let runs = vec![
-            WallclockRun::new(AgendaKind::Heap, 100, 1000, 2.0),
-            WallclockRun::new(AgendaKind::Heap, 100, 1000, 4.0),
-            WallclockRun::new(AgendaKind::Wheel, 100, 1000, 1.0),
-        ];
-        let report = WallclockReport::new("t", runs);
-        assert!(
-            (report.wheel_speedup - 2.0).abs() < 1e-12,
-            "best heap 50/s, wheel 100/s"
-        );
-        assert_eq!(report.runs.len(), 3);
-        assert!((report.runs[0].sessions_per_sec - 50.0).abs() < 1e-12);
-        // One-sided reports fall back to a neutral speedup.
-        let only_heap =
-            WallclockReport::new("t", vec![WallclockRun::new(AgendaKind::Heap, 1, 1, 1.0)]);
-        assert!((only_heap.wheel_speedup - 1.0).abs() < 1e-12);
+    fn wallclock_run_derives_rates() {
+        let run = WallclockRun::new(100, 1000, 2.0);
+        assert!((run.sessions_per_sec - 50.0).abs() < 1e-12);
+        assert!((run.events_per_sec - 500.0).abs() < 1e-12);
     }
 
     #[test]
     fn wallclock_report_round_trips_through_json() {
-        let report = WallclockReport::new(
-            "scale_bench",
-            vec![WallclockRun::new(AgendaKind::Wheel, 42, 420, 0.5)],
-        );
+        let report = WallclockReport::new("scale_bench", vec![WallclockRun::new(42, 420, 0.5)]);
         let json = serde_json::to_string(&report).unwrap();
-        for field in [
-            "backend",
-            "sessions",
-            "events",
-            "wall_secs",
-            "sessions_per_sec",
-            "wheel_speedup",
-        ] {
+        for field in ["sessions", "events", "wall_secs", "sessions_per_sec"] {
             assert!(json.contains(field), "missing `{field}` in {json}");
         }
         let back: WallclockReport = serde_json::from_str(&json).unwrap();

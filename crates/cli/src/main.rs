@@ -46,10 +46,14 @@
 //! result-invariant), `--seed` the workload seed, `--json <path>` writes
 //! the structured report, and `--manifest <path>` writes per-stage
 //! wall-clock timings.
+//!
+//! A flag the command never reads is an error, not a silent no-op:
+//! `unknown flag --<key> for <cmd>`.
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
 use sb_analysis::lineup::{schemes_from, SchemeId};
@@ -61,7 +65,6 @@ use sb_core::config::SystemConfig;
 use sb_core::plan::VideoId;
 use sb_core::series::Width;
 use sb_sim::policy::schedule_client;
-use sb_sim::AgendaKind;
 use sb_workload::{Catalog, Patience, PoissonArrivals, ZipfPopularity};
 use vod_units::{Mbps, Minutes};
 
@@ -83,10 +86,15 @@ fn usage() -> &'static str {
            --chaos 'kill:1@ckpt:1;kill:0@tick:500;corrupt:1@ckpt:2'\n\
            --policies full,partitioned,hothead,proportional\n\
            --backbone N --tail-from N --uplink-fraction F\n\
-           --agenda heap|wheel --json PATH --metrics PATH --manifest PATH"
+           --json PATH --metrics PATH --manifest PATH"
 }
 
-struct Opts(HashMap<String, String>);
+/// The `--key value` flags of one invocation. Every lookup records its
+/// key, so `main` can reject the flags no command read.
+struct Opts {
+    map: HashMap<String, String>,
+    read: RefCell<HashSet<String>>,
+}
 
 impl Opts {
     fn parse(args: &[String]) -> Result<Self, String> {
@@ -99,28 +107,55 @@ impl Opts {
             let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             map.insert(key.to_string(), v.clone());
         }
-        Ok(Self(map))
+        Ok(Self {
+            map,
+            read: RefCell::default(),
+        })
+    }
+
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.map.get(key)
     }
 
     fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.0.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
         }
     }
 
     fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.0.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
         }
     }
 
     fn get_str(&self, key: &str, default: &str) -> String {
-        self.0
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.get(key)
+            .map_or_else(|| default.to_string(), String::clone)
+    }
+
+    /// The study-specific flag map a [`Study`] parses its configuration
+    /// from: every `--key value` pair as given (studies ignore the
+    /// execution keys — those arrive through [`StudyCtx`]).
+    fn study_opts(&self) -> StudyOpts {
+        StudyOpts::from_pairs(self.map.iter().map(|(k, v)| (k.clone(), v.clone())))
+    }
+
+    /// Count the keys a study read from [`Opts::study_opts`] as read.
+    fn absorb(&self, study: &StudyOpts) {
+        self.read.borrow_mut().extend(study.read_keys());
+    }
+
+    /// Fail on the first given key (in sorted order) nothing has read.
+    fn reject_unread(&self, cmd: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.map.keys().filter(|k| !read.contains(*k)).min() {
+            Some(key) => Err(format!("unknown flag --{key} for {cmd}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -215,7 +250,7 @@ fn cmd_client(opts: &Opts) -> Result<(), String> {
 }
 
 /// The execution flags every study subcommand shares — `--threads`,
-/// `--seed`, `--shards`, `--agenda`, `--json`, `--manifest` — parsed and
+/// `--seed`, `--shards`, `--json`, `--manifest` — parsed and
 /// validated by one routine so every registered study rejects bad
 /// values with identical messages.
 struct CommonArgs {
@@ -225,9 +260,6 @@ struct CommonArgs {
     seed: Option<u64>,
     /// Shard count (validated ≥ 1; only the sharded studies accept > 1).
     shards: usize,
-    /// Engine event-store backend (`heap` or `wheel`; results never
-    /// depend on it).
-    agenda: AgendaKind,
     /// `--json <path>`: where to write the structured report.
     json: Option<String>,
     /// `--manifest <path>`: where to write per-stage wall timings.
@@ -244,30 +276,25 @@ impl CommonArgs {
         if shards == 0 {
             return Err("--shards must be at least 1 (got 0)".into());
         }
-        let seed = match opts.0.get("seed") {
+        let seed = match opts.get("seed") {
             None => None,
             Some(v) => Some(
                 v.parse()
                     .map_err(|_| format!("--seed: bad integer `{v}`"))?,
             ),
         };
-        let agenda_str = opts.get_str("agenda", "heap");
-        let agenda = AgendaKind::parse(&agenda_str)
-            .ok_or_else(|| format!("--agenda: expected `heap` or `wheel`, got `{agenda_str}`"))?;
         Ok(Self {
             threads,
             seed,
             shards,
-            agenda,
-            json: opts.0.get("json").cloned(),
-            manifest: opts.0.get("manifest").cloned(),
+            json: opts.get("json").cloned(),
+            manifest: opts.get("manifest").cloned(),
         })
     }
 
-    /// The worker pool this invocation asked for, driving the engine
-    /// backend it asked for.
+    /// The worker pool this invocation asked for.
     fn runner(&self) -> Runner {
-        Runner::new(self.threads).with_agenda(self.agenda)
+        Runner::new(self.threads)
     }
 
     /// Studies that are not sharded refuse the scale-out flag instead of
@@ -309,13 +336,6 @@ fn finish_runner(common: &CommonArgs, runner: &Runner) -> Result<(), String> {
     Ok(())
 }
 
-/// The study-specific flag map a [`Study`] parses its configuration
-/// from: every `--key value` pair as given (studies ignore the
-/// execution keys — those arrive through [`StudyCtx`]).
-fn study_opts(opts: &Opts) -> StudyOpts {
-    StudyOpts::from_pairs(opts.0.iter().map(|(k, v)| (k.clone(), v.clone())))
-}
-
 /// Run one registered study: parse the common execution flags, build the
 /// [`StudyCtx`], print the rendered report to stdout, write the JSON
 /// artifact (the registry default or `--json`), honour `--metrics`, and
@@ -327,7 +347,7 @@ fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
         common.reject_shards(study.name())?;
     }
     let runner = common.runner();
-    let study_opts = study_opts(opts);
+    let study_opts = opts.study_opts();
     let ctx = StudyCtx {
         opts: &study_opts,
         shards: common.shards,
@@ -337,12 +357,19 @@ fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let out = study.run(&ctx)?;
     let wall = t0.elapsed().as_secs_f64();
+    opts.absorb(&study_opts);
+    let metrics = out
+        .metrics
+        .as_ref()
+        .and_then(|snapshot| opts.get("metrics").map(|path| (snapshot, path)));
+    // Every flag has been read by now: refuse the rest before any output.
+    opts.reject_unread(study.name())?;
     print!("{}", out.rendered);
     match study.artifact() {
         Some(default) => {
             // Wall-clock is machine truth, not simulation truth: stderr
             // only, so stdout and the artifact stay byte-identical
-            // across `--shards`, `--threads` and `--agenda`.
+            // across `--shards` and `--threads`.
             let mut line = format!(
                 "wall: {wall:.3}s at --shards {} --threads {}",
                 common.shards,
@@ -367,12 +394,10 @@ fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
             }
         }
     }
-    if let Some(snapshot) = &out.metrics {
-        if let Some(path) = opts.0.get("metrics") {
-            let json = serde_json::to_string_pretty(snapshot).map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| format!("--metrics {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
+    if let Some((snapshot, path)) = metrics {
+        let json = serde_json::to_string_pretty(snapshot).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("--metrics {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
     finish_runner(&common, &runner)
 }
@@ -455,7 +480,7 @@ struct RecoveryRunJson {
 /// explicit `--chaos` script, re-verifying the byte-identity invariant
 /// against a plain `execute`. The `--mode sweep` study half dispatches
 /// through the registry instead. Both are byte-identical across
-/// `--threads`, `--shards` and `--agenda`.
+/// `--threads` and `--shards`.
 fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     use sb_resilience::{Backoff, CrashScript, Recovered, RunSpec, Supervisor};
     use sb_sim::policy::ClientPolicy;
@@ -472,9 +497,11 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     let cadence = opts.get_usize("cadence", 50)? as u64;
     let seed = common.seed.unwrap_or(17);
     let chaos = CrashScript::parse(&opts.get_str("chaos", "")).map_err(|e| e.to_string())?;
-    let backoff = sb_analysis::study::parse_backoff(&study_opts(opts))?
+    let backoff_opts = opts.study_opts();
+    let backoff = sb_analysis::study::parse_backoff(&backoff_opts)?
         .map_or_else(|| Backoff::new(Minutes(1.0), 2.0, 8), Ok)
         .map_err(|e| e.to_string())?;
+    opts.absorb(&backoff_opts);
 
     let id = SchemeId::parse(&opts.get_str("scheme", "SB:W=52"))
         .ok_or_else(|| format!("unknown scheme `{}`", opts.get_str("scheme", "SB:W=52")))?;
@@ -495,13 +522,13 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     })
     .collect();
 
-    // Up-front validation: a zero cadence or an out-of-range partition
-    // is a typed error before anything runs.
+    // Up-front validation: an unread flag, a zero cadence or an
+    // out-of-range partition is a typed error before anything runs.
+    opts.reject_unread("recovery")?;
     let run_cfg = RunConfig::new(&requests)
         .shards(common.shards)
         .threads(common.threads)
         .seed(seed)
-        .agenda(common.agenda)
         .checkpoint_every(cadence);
     run_cfg.validate().map_err(|e| e.to_string())?;
     let supervisor = Supervisor::new(backoff, cadence).map_err(|e| e.to_string())?;
@@ -512,7 +539,6 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
         shards: common.shards,
         threads: common.threads,
         seed,
-        agenda: common.agenda,
         partition: None,
     };
     let recovered = supervisor
@@ -596,7 +622,7 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
 fn cmd_series(opts: &Opts) -> Result<(), String> {
     use sb_core::custom::{greedy_max_series, validate_units, PhaseBudget};
     let budget = PhaseBudget::ExhaustiveUpTo(100_000);
-    if let Some(spec) = opts.0.get("units") {
+    if let Some(spec) = opts.get("units") {
         let units: Vec<u64> = spec
             .split(',')
             .map(|t| t.trim().parse().map_err(|_| format!("bad unit `{t}`")))
@@ -710,25 +736,28 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let run = Opts::parse(rest).and_then(|opts| match cmd.as_str() {
-        "plan" => cmd_plan(&opts),
-        "metrics" => cmd_metrics(&opts),
-        "client" => cmd_client(&opts),
-        // Dual-mode subcommands: the study half goes through the
-        // registry, the other half stays hand-rolled.
-        "hybrid" if !opts.0.contains_key("rates") => cmd_hybrid(&opts),
-        "recovery" => match opts.get_str("mode", "run").as_str() {
-            "run" => cmd_recovery_run(&opts),
-            "sweep" => run_study(study("recovery"), &opts),
-            mode => Err(format!("--mode: expected `run` or `sweep`, got `{mode}`")),
-        },
-        "series" => cmd_series(&opts),
-        "hetero" => cmd_hetero(&opts),
-        "pausing" => cmd_pausing(&opts),
-        other => match sb_analysis::study::find(other) {
-            Some(study) => run_study(study, &opts),
-            None => Err(format!("unknown command `{other}`\n{}", usage())),
-        },
+    let run = Opts::parse(rest).and_then(|opts| {
+        match cmd.as_str() {
+            "plan" => cmd_plan(&opts),
+            "metrics" => cmd_metrics(&opts),
+            "client" => cmd_client(&opts),
+            // Dual-mode subcommands: the study half goes through the
+            // registry, the other half stays hand-rolled.
+            "hybrid" if opts.get("rates").is_none() => cmd_hybrid(&opts),
+            "recovery" => match opts.get_str("mode", "run").as_str() {
+                "run" => cmd_recovery_run(&opts),
+                "sweep" => run_study(study("recovery"), &opts),
+                mode => Err(format!("--mode: expected `run` or `sweep`, got `{mode}`")),
+            },
+            "series" => cmd_series(&opts),
+            "hetero" => cmd_hetero(&opts),
+            "pausing" => cmd_pausing(&opts),
+            other => match sb_analysis::study::find(other) {
+                Some(study) => run_study(study, &opts),
+                None => Err(format!("unknown command `{other}`\n{}", usage())),
+            },
+        }?;
+        opts.reject_unread(cmd)
     });
     match run {
         Ok(()) => ExitCode::SUCCESS,

@@ -58,6 +58,36 @@ fn bad_resilience_config_fails_cleanly() {
 }
 
 #[test]
+fn the_retired_agenda_flag_is_rejected() {
+    let out = sbcast(&[
+        "scale",
+        "--sessions",
+        "300",
+        "--horizon",
+        "60",
+        "--agenda",
+        "heap",
+    ]);
+    assert_clean_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: unknown flag --agenda for scale"),
+        "got: {stderr}"
+    );
+}
+
+#[test]
+fn a_misspelt_flag_is_rejected() {
+    let out = sbcast(&["plan", "--bandwith", "300"]);
+    assert_clean_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: unknown flag --bandwith for plan"),
+        "got: {stderr}"
+    );
+}
+
+#[test]
 fn plan_succeeds_on_defaults() {
     let out = sbcast(&["plan"]);
     assert!(out.status.success());
@@ -118,15 +148,15 @@ fn scenario_rejects_bad_preset_and_profile_cleanly() {
 }
 
 #[test]
-fn scenario_is_shard_thread_and_agenda_invariant() {
+fn scenario_is_shard_and_thread_invariant() {
     // A deliberately small stream (the binary under test is a debug
     // build): one preset, one scheme, 120 simulated minutes. The full
     // smoke profile runs in release under scripts/verify.sh.
     let dir = std::env::temp_dir().join(format!("sbcast-scenario-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut outs = Vec::new();
-    for (shards, threads, agenda) in [("1", "1", "heap"), ("2", "4", "wheel"), ("4", "2", "heap")] {
-        let json = dir.join(format!("scenario-{shards}-{threads}-{agenda}.json"));
+    for (shards, threads) in [("1", "1"), ("2", "4"), ("4", "2")] {
+        let json = dir.join(format!("scenario-{shards}-{threads}.json"));
         let out = sbcast(&[
             "scenario",
             "--profile",
@@ -149,14 +179,12 @@ fn scenario_is_shard_thread_and_agenda_invariant() {
             shards,
             "--threads",
             threads,
-            "--agenda",
-            agenda,
             "--json",
             json.to_str().unwrap(),
         ]);
         assert!(
             out.status.success(),
-            "scenario must run at {shards}/{threads}/{agenda}: {}",
+            "scenario must run at {shards}/{threads}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         outs.push((out.stdout, std::fs::read(&json).unwrap()));
@@ -164,11 +192,11 @@ fn scenario_is_shard_thread_and_agenda_invariant() {
     for (stdout, json) in &outs[1..] {
         assert_eq!(
             &outs[0].0, stdout,
-            "stdout must not depend on --shards/--threads/--agenda"
+            "stdout must not depend on --shards/--threads"
         );
         assert_eq!(
             &outs[0].1, json,
-            "JSON must not depend on --shards/--threads/--agenda"
+            "JSON must not depend on --shards/--threads"
         );
     }
     let json = String::from_utf8_lossy(&outs[0].1);
@@ -257,7 +285,7 @@ fn recovery_under_chaos_matches_the_plain_run_for_every_knob() {
     // supervised-vs-uninterrupted byte identity (it exits nonzero on
     // divergence), and stdout must not depend on how the run executed.
     let mut outs = Vec::new();
-    for (shards, threads, agenda) in [("1", "1", "heap"), ("2", "4", "wheel"), ("2", "2", "heap")] {
+    for (shards, threads) in [("1", "1"), ("2", "4"), ("2", "2")] {
         let out = sbcast(&[
             "recovery",
             "--sessions",
@@ -272,12 +300,10 @@ fn recovery_under_chaos_matches_the_plain_run_for_every_knob() {
             shards,
             "--threads",
             threads,
-            "--agenda",
-            agenda,
         ]);
         assert!(
             out.status.success(),
-            "recovery must run at {shards}/{threads}/{agenda}: {}",
+            "recovery must run at {shards}/{threads}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
@@ -286,15 +312,11 @@ fn recovery_under_chaos_matches_the_plain_run_for_every_knob() {
             "the binary must verify the invariant, got: {stdout}"
         );
         assert!(stdout.contains("corrupt rejected 1"), "got: {stdout}");
-        outs.push((shards, threads, agenda, out.stdout));
+        outs.push(out.stdout);
     }
     // Shard counts change the chaos targets' slices, so only runs with
-    // equal --shards must agree byte-for-byte; threads/agenda never
-    // matter.
-    assert_eq!(
-        outs[1].3, outs[2].3,
-        "stdout must not depend on --threads/--agenda"
-    );
+    // equal --shards must agree byte-for-byte; threads never matter.
+    assert_eq!(outs[1], outs[2], "stdout must not depend on --threads");
 }
 
 #[test]

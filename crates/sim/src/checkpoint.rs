@@ -235,8 +235,9 @@ impl SystemSim<'_> {
     /// the completed [`ShardRun`] is bitwise identical either way.
     ///
     /// # Errors
-    /// [`ShardCrash::Corrupt`] when `resume` fails to decode (nothing has
-    /// run yet — fall back to an older checkpoint or a fresh start);
+    /// [`ShardCrash::Corrupt`] when `resume` fails to decode or does not
+    /// fit `slice` (nothing has run yet — fall back to an older
+    /// checkpoint or a fresh start);
     /// [`ShardCrash::Killed`] when the probe said [`Verdict::Kill`];
     /// [`ShardCrash::Policy`] for deterministic simulation errors.
     ///
@@ -246,22 +247,21 @@ impl SystemSim<'_> {
     pub fn run_shard(
         &self,
         slice: &ShardSlice,
-        agenda: AgendaKind,
+        _agenda: AgendaKind,
         checkpoint_every: u64,
         resume: Option<&[u8]>,
         probe: &mut dyn FnMut(Probe<'_>) -> Verdict,
     ) -> Result<ShardRun, ShardCrash> {
         let resume_state = match resume {
-            Some(bytes) => Some(decode_state(bytes).map_err(ShardCrash::Corrupt)?),
+            Some(bytes) => {
+                let cp = decode_state(bytes).map_err(ShardCrash::Corrupt)?;
+                check_fits(&cp, slice.len()).map_err(ShardCrash::Corrupt)?;
+                Some(cp)
+            }
             None => None,
         };
-        let out = self.run_core_checkpointed(
-            slice.requests(),
-            agenda,
-            checkpoint_every,
-            resume_state,
-            probe,
-        )?;
+        let out =
+            self.run_core_checkpointed(slice.requests(), checkpoint_every, resume_state, probe)?;
         let mut scalars = out.scalars;
         for sc in &mut scalars {
             sc.idx = slice.global_idx()[sc.idx];
@@ -274,6 +274,44 @@ impl SystemSim<'_> {
             checkpoints_taken: out.checkpoints_taken,
         })
     }
+}
+
+/// Check a decoded checkpoint against the slice it is about to resume:
+/// every pending `Arrive` names a request of the slice, no entry fires
+/// before the frozen clock or carries a sequence number the engine has
+/// not yet issued, and every captured scalar names a request of the
+/// slice. A checksum only proves the bytes are the ones written; this
+/// proves they can drive this shard without indexing out of range.
+fn check_fits(cp: &CheckpointState, slice_len: usize) -> Result<(), CheckpointError> {
+    let frozen = &cp.frozen;
+    for &(at, seq, ev) in &frozen.entries {
+        if let Ev::Arrive(pos) = ev {
+            if pos >= slice_len {
+                return malformed(format!(
+                    "entry.ev: arrival {pos} outside a slice of {slice_len} requests"
+                ));
+            }
+        }
+        if at < frozen.now {
+            return malformed(format!(
+                "entry.at: tick {} before the frozen clock {}",
+                at.0, frozen.now.0
+            ));
+        }
+        if seq >= frozen.seq {
+            return malformed(format!(
+                "entry.seq: {seq} not below the next sequence number {}",
+                frozen.seq
+            ));
+        }
+    }
+    if let Some(sc) = cp.scalars.iter().find(|sc| sc.idx >= slice_len) {
+        return malformed(format!(
+            "scalar.idx: request {} outside a slice of {slice_len} requests",
+            sc.idx
+        ));
+    }
+    Ok(())
 }
 
 // ---- encoding --------------------------------------------------------------
@@ -525,7 +563,6 @@ fn decode_stats(v: &serde::Value) -> Result<EngineStats, CheckpointError> {
         cancelled: want_u64(serde::field(o, "cancelled"), "stats.cancelled")?,
         peak_agenda: want_u64(serde::field(o, "peak_agenda"), "stats.peak_agenda")?,
         compactions: want_u64(serde::field(o, "compactions"), "stats.compactions")?,
-        wheel: crate::agenda::WheelStats::default(),
     })
 }
 

@@ -20,8 +20,8 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`engine`] | a small, deterministic discrete-event engine (tick clock, pluggable agenda) |
-//! | [`agenda`] | event-store backends: binary heap and hierarchical timing wheel, bitwise interchangeable |
+//! | [`engine`] | a small, deterministic discrete-event engine (tick clock, binary-heap agenda) |
+//! | [`agenda`] | [`agenda::MinQueue`], the min-heap behind the engine's agenda and the shard merge |
 //! | [`checkpoint`] | versioned, checksummed shard checkpoints and the crash/restore probe protocol |
 //! | [`trace`] | the unified [`trace::SessionTrace`] every client model produces, and the [`trace::ClientModel`] trait |
 //! | [`schedule`] | client schedules: downloads, playback, and conversion to traces |
@@ -87,7 +87,7 @@ pub mod sink;
 pub mod system;
 pub mod trace;
 
-pub use agenda::{Agenda, AgendaEntry, AgendaKind, HeapAgenda, MinQueue, WheelAgenda, WheelStats};
+pub use agenda::{AgendaKind, MinQueue};
 pub use checkpoint::{
     decode_state, CheckpointError, CheckpointState, Killed, Probe, ShardCrash, ShardRun, Verdict,
 };

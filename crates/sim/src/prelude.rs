@@ -1,7 +1,7 @@
 //! The one-stop public run surface.
 //!
 //! Everything needed to configure and execute a system run — the
-//! [`RunConfig`] builder, its outcome, the agenda/partition selectors,
+//! [`RunConfig`] builder, its outcome, the partition selector,
 //! trace sinks, and the distributed-tier types — re-exported from a
 //! single place so downstream crates write
 //! `use sb_sim::prelude::*;` instead of chasing module paths:
@@ -19,7 +19,7 @@
 //! let reqs = vec![Request { at: Minutes(3.0), video: VideoId(0) }];
 //! let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
 //! let out = sim
-//!     .execute(RunConfig::new(&reqs).shards(1).agenda(AgendaKind::Heap))
+//!     .execute(RunConfig::new(&reqs).shards(1))
 //!     .unwrap();
 //! assert_eq!(out.fold.sessions, 1);
 //! ```
@@ -29,7 +29,6 @@
 //! the facade crate's `skyscraper_broadcasting::prelude` re-exports
 //! both surfaces together.
 
-pub use crate::agenda::{Agenda, AgendaKind, HeapAgenda, WheelAgenda};
 pub use crate::distribution::{
     route_catalog, DistributionConfig, RouteOutcome, SegmentWindow, SessionRecord,
 };

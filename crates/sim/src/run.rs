@@ -15,7 +15,6 @@
 //!     .faults(script)           // optional: control-plane fault payload
 //!     .shards(4)                // optional: partitioned scale-out
 //!     .threads(4)               // optional: worker pool for the shards
-//!     .agenda(AgendaKind::Wheel) // optional: engine event-store backend
 //!     .partition(&map)          // optional: scenario's video → shard table
 //! ```
 //!
@@ -27,7 +26,6 @@
 
 use sb_metrics::{Recorder, Snapshot};
 
-use crate::agenda::AgendaKind;
 use crate::engine::EngineStats;
 use crate::sink::{SessionSummary, TraceSink};
 use crate::system::SystemReport;
@@ -47,7 +45,6 @@ pub struct RunConfig<'a, R, F = ()> {
     shards: usize,
     threads: usize,
     seed: u64,
-    agenda: AgendaKind,
     partition: Option<&'a [usize]>,
     checkpoint_every: Option<u64>,
 }
@@ -65,7 +62,6 @@ impl<'a, R> RunConfig<'a, R> {
             shards: 1,
             threads: 1,
             seed: 0,
-            agenda: AgendaKind::Heap,
             partition: None,
             checkpoint_every: None,
         }
@@ -157,7 +153,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
             shards: self.shards,
             threads: self.threads,
             seed: self.seed,
-            agenda: self.agenda,
             partition: self.partition,
             checkpoint_every: self.checkpoint_every,
         }
@@ -190,16 +185,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         self
     }
 
-    /// Event-store backend for every engine the run builds — one per
-    /// shard (default [`AgendaKind::Heap`]). Purely an execution knob:
-    /// heap and wheel runs are byte-identical, only wall-clock speed and
-    /// the non-serialized [`EngineStats::wheel`] counters differ.
-    #[must_use]
-    pub fn agenda(mut self, agenda: AgendaKind) -> Self {
-        self.agenda = agenda;
-        self
-    }
-
     /// The scenario slot: a per-video owning-shard table
     /// (`map[video] % shards` is the shard that runs the session),
     /// replacing the default seeded hash. This is how a metropolitan
@@ -217,8 +202,9 @@ impl<'a, R, F> RunConfig<'a, R, F> {
 
     /// Checkpoint each shard every `sessions` served sessions (default:
     /// never). Only supervised executors (`sb-resilience`'s recovery
-    /// supervisor) act on this; the plain `execute` path ignores it.
-    /// A cadence of zero is rejected by [`RunConfig::validate`].
+    /// supervisor) act on this; `SystemSim::execute` ignores it and
+    /// `ControlledSim::execute` rejects it. A cadence of zero is rejected
+    /// by [`RunConfig::validate`].
     #[must_use]
     pub fn checkpoint_every(mut self, sessions: u64) -> Self {
         self.checkpoint_every = Some(sessions);
@@ -264,7 +250,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
             shards: self.shards,
             threads: self.threads,
             seed: self.seed,
-            agenda: self.agenda,
             partition: self.partition,
             checkpoint_every: self.checkpoint_every,
         }
@@ -287,8 +272,6 @@ pub struct RunParts<'a, R, F> {
     pub threads: usize,
     /// Shard-hash seed.
     pub seed: u64,
-    /// Event-store backend for every engine of the run.
-    pub agenda: AgendaKind,
     /// Optional per-video owning-shard table (the scenario slot).
     pub partition: Option<&'a [usize]>,
     /// Optional checkpoint cadence in served sessions (supervised
@@ -335,7 +318,6 @@ mod tests {
         assert!(parts.recorder.is_none());
         assert!(parts.faults.is_none());
         assert_eq!((parts.shards, parts.threads, parts.seed), (1, 1, 0));
-        assert_eq!(parts.agenda, AgendaKind::Heap);
     }
 
     #[test]
@@ -345,12 +327,10 @@ mod tests {
             .shards(4)
             .threads(2)
             .seed(11)
-            .agenda(AgendaKind::Wheel)
             .faults("script")
             .into_parts();
         assert_eq!(parts.faults, Some("script"));
         assert_eq!((parts.shards, parts.threads, parts.seed), (4, 2, 11));
-        assert_eq!(parts.agenda, AgendaKind::Wheel, "agenda survives faults()");
     }
 
     #[test]

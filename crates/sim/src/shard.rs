@@ -39,7 +39,7 @@
 use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
 use vod_units::{Mbits, Minutes};
 
-use crate::agenda::{AgendaKind, MinQueue};
+use crate::agenda::MinQueue;
 use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::pool::parallel_map;
@@ -419,7 +419,7 @@ impl SystemSim<'_> {
     pub fn execute(&self, cfg: RunConfig<'_, Request>) -> Result<RunOutcome, PolicyError> {
         let parts = cfg.into_parts();
         if parts.shards == 1 {
-            return self.execute_serial(parts.requests, parts.recorder, parts.sink, parts.agenda);
+            return self.execute_serial(parts.requests, parts.recorder, parts.sink);
         }
         self.execute_sharded(parts)
     }
@@ -431,25 +431,24 @@ impl SystemSim<'_> {
         requests: &[Request],
         recorder: Option<&mut dyn Recorder>,
         sink: Option<&mut dyn TraceSink>,
-        agenda: AgendaKind,
     ) -> Result<RunOutcome, PolicyError> {
         let mut reg = Registry::new();
         let mut fold = StreamingFold::new();
         let (summary, stats) = match (recorder, sink) {
-            (None, None) => self.run_core(requests, &mut reg, &mut fold, None, agenda),
+            (None, None) => self.run_core(requests, &mut reg, &mut fold, None),
             (Some(user), None) => {
                 let mut tee = TeeRecorder {
                     a: &mut reg,
                     b: user,
                 };
-                self.run_core(requests, &mut tee, &mut fold, None, agenda)
+                self.run_core(requests, &mut tee, &mut fold, None)
             }
             (None, Some(user)) => {
                 let mut tee = TeeSink {
                     a: &mut fold,
                     b: user,
                 };
-                self.run_core(requests, &mut reg, &mut tee, None, agenda)
+                self.run_core(requests, &mut reg, &mut tee, None)
             }
             (Some(user_rec), Some(user_sink)) => {
                 let mut rec = TeeRecorder {
@@ -460,7 +459,7 @@ impl SystemSim<'_> {
                     a: &mut fold,
                     b: user_sink,
                 };
-                self.run_core(requests, &mut rec, &mut tee, None, agenda)
+                self.run_core(requests, &mut rec, &mut tee, None)
             }
         }?;
         Ok(RunOutcome {
@@ -502,9 +501,9 @@ impl SystemSim<'_> {
                         a: &mut reg,
                         b: log,
                     };
-                    self.run_core(reqs, &mut tee, sink, Some(&mut scalars), parts.agenda)
+                    self.run_core(reqs, &mut tee, sink, Some(&mut scalars))
                 }
-                None => self.run_core(reqs, &mut reg, sink, Some(&mut scalars), parts.agenda),
+                None => self.run_core(reqs, &mut reg, sink, Some(&mut scalars)),
             };
             for sc in &mut scalars {
                 sc.idx = slice.global_idx()[sc.idx];
@@ -656,34 +655,6 @@ mod tests {
                     out.stats.scheduled, base.stats.scheduled,
                     "event totals are shard-invariant"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn agenda_backend_is_bitwise_invariant_across_shards_and_threads() {
-        // The full grid: {heap, wheel} × shards × threads all collapse to
-        // the serial heap bytes.
-        let (cfg, plan, requests) = lineup();
-        let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
-        let base = sim.execute(RunConfig::new(&requests)).unwrap();
-        for agenda in [AgendaKind::Heap, AgendaKind::Wheel] {
-            for shards in [1, 2, 4] {
-                for threads in [1, 4] {
-                    let out = sim
-                        .execute(
-                            RunConfig::new(&requests)
-                                .shards(shards)
-                                .threads(threads)
-                                .agenda(agenda),
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        outcome_key(&base),
-                        outcome_key(&out),
-                        "{agenda:?} S={shards} T={threads} diverged"
-                    );
-                }
             }
         }
     }

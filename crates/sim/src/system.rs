@@ -21,7 +21,6 @@ use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
 use sb_core::plan::{ChannelPlan, VideoId};
 
-use crate::agenda::AgendaKind;
 use crate::engine::Engine;
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
@@ -181,7 +180,7 @@ impl<'a> SystemSim<'a> {
 
     /// The one simulation core every public entry point funnels into.
     ///
-    /// Drives `requests` through an engine on the `agenda` backend,
+    /// Drives `requests` through an engine,
     /// streaming traces into `sink` and metric events into `rec`. When
     /// `capture` is given, additionally appends one [`SessionScalars`]
     /// per served session in engine (pop) order — the sharded executor's
@@ -194,9 +193,8 @@ impl<'a> SystemSim<'a> {
         rec: &mut dyn Recorder,
         sink: &mut dyn TraceSink,
         mut capture: Option<&mut Vec<SessionScalars>>,
-        agenda: AgendaKind,
     ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
-        let mut engine: Engine<Ev> = Engine::with_agenda(agenda);
+        let mut engine: Engine<Ev> = Engine::new();
         self.schedule_arrivals(&mut engine, requests);
         let index = self.plan.index();
         let mut state = CoreState::new();
@@ -327,7 +325,6 @@ impl<'a> SystemSim<'a> {
     pub(crate) fn run_core_checkpointed(
         &self,
         requests: &[Request],
-        agenda: AgendaKind,
         checkpoint_every: u64,
         resume: Option<crate::checkpoint::CheckpointState>,
         probe: &mut dyn FnMut(crate::checkpoint::Probe<'_>) -> crate::checkpoint::Verdict,
@@ -337,7 +334,7 @@ impl<'a> SystemSim<'a> {
         let (mut engine, mut state, mut fold, mut scalars, mut reg, mut sessions_done) =
             match resume {
                 Some(cp) => (
-                    Engine::thaw(cp.frozen, agenda),
+                    Engine::thaw(cp.frozen),
                     cp.core,
                     crate::sink::StreamingFold::thaw(cp.fold),
                     cp.scalars,
@@ -345,7 +342,7 @@ impl<'a> SystemSim<'a> {
                     cp.sessions_done,
                 ),
                 None => {
-                    let mut engine: Engine<Ev> = Engine::with_agenda(agenda);
+                    let mut engine: Engine<Ev> = Engine::new();
                     self.schedule_arrivals(&mut engine, requests);
                     (
                         engine,
@@ -573,37 +570,5 @@ mod tests {
         }];
         let err = sim.execute(RunConfig::new(&requests)).unwrap_err();
         assert_eq!(err, PolicyError::UnknownVideo(VideoId(77)));
-    }
-
-    /// The heap and wheel backends must produce the same bytes end to
-    /// end: report, streamed fold, snapshot and (serialized) stats.
-    #[test]
-    fn heap_and_wheel_backends_match_bitwise() {
-        let cfg = SystemConfig::paper_defaults(Mbps(300.0));
-        let plan = Skyscraper::with_width(Width::Capped(52))
-            .plan(&cfg)
-            .unwrap();
-        let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
-        let requests = requests_grid(48, 10, 20.0);
-        let heap = sim.execute(RunConfig::new(&requests)).unwrap();
-        let wheel = sim
-            .execute(RunConfig::new(&requests).agenda(crate::agenda::AgendaKind::Wheel))
-            .unwrap();
-        assert_eq!(heap.summary, wheel.summary);
-        assert_eq!(heap.fold, wheel.fold);
-        assert_eq!(
-            serde_json::to_string(&heap.snapshot).unwrap(),
-            serde_json::to_string(&wheel.snapshot).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&heap.stats).unwrap(),
-            serde_json::to_string(&wheel.stats).unwrap(),
-            "serialized stats must hide the backend"
-        );
-        assert!(heap.stats.wheel.cascades == 0 && heap.stats.wheel.peak_bucket == 0);
-        assert!(
-            wheel.stats.wheel.peak_bucket > 0,
-            "wheel counters live in memory only"
-        );
     }
 }

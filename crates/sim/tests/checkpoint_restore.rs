@@ -4,9 +4,7 @@
 //! **killed at a checkpoint and resumed from the serialized bytes** is
 //! bitwise identical to the uninterrupted run — same report, same fold,
 //! same metrics snapshot, same serialized bytes — for **all three client
-//! models** and **both agenda backends**, including *cross-backend*
-//! restores (checkpoint written under the heap, resumed under the
-//! wheel). The checkpoint travels through its real wire format
+//! models**. The checkpoint travels through its real wire format
 //! (`SBCKPT` header + checksum + payload), not through in-memory state.
 
 use proptest::prelude::*;
@@ -22,7 +20,8 @@ use sb_sim::policy::ClientPolicy;
 use sb_sim::system::{Request, SystemSim};
 use sb_sim::trace::{ClientModel, PausingClient, RecordingClient};
 use sb_sim::{
-    merge_shard_runs, plan_shards, AgendaKind, Probe, RunConfig, RunOutcome, ShardCrash, Verdict,
+    merge_shard_runs, plan_shards, AgendaKind, CheckpointError, Probe, RunConfig, RunOutcome,
+    ShardCrash, Verdict,
 };
 
 /// Each model against the plan its scheme prescribes (the same lineup
@@ -59,8 +58,8 @@ fn outcome_bytes(o: &RunOutcome) -> (String, String, String) {
 }
 
 /// Run the whole request stream as one supervised shard: kill it right
-/// after checkpoint `kill_at_ckpt` (written under `agenda_a`), then
-/// resume from those exact bytes under `agenda_b`. If the run finishes
+/// after checkpoint `kill_at_ckpt`, then resume from those exact bytes.
+/// If the run finishes
 /// before that checkpoint exists, the uninterrupted result is used —
 /// the property still has to hold.
 fn killed_and_resumed(
@@ -68,8 +67,6 @@ fn killed_and_resumed(
     requests: &[Request],
     cadence: u64,
     kill_at_ckpt: u64,
-    agenda_a: AgendaKind,
-    agenda_b: AgendaKind,
 ) -> (RunOutcome, bool) {
     let slices = plan_shards(requests, 1, 0, None);
     let slice = &slices[0];
@@ -84,14 +81,14 @@ fn killed_and_resumed(
         }
         Verdict::Continue
     };
-    let first = sim.run_shard(slice, agenda_a, cadence, None, &mut probe);
+    let first = sim.run_shard(slice, AgendaKind::Heap, cadence, None, &mut probe);
     let (run, was_killed) = match first {
         Ok(run) => (run, false),
         Err(ShardCrash::Killed(_)) => {
             let bytes = captured.expect("a kill at a checkpoint implies captured bytes");
             let mut quiet = |_: Probe<'_>| Verdict::Continue;
             let resumed = sim
-                .run_shard(slice, agenda_b, cadence, Some(&bytes), &mut quiet)
+                .run_shard(slice, AgendaKind::Heap, cadence, Some(&bytes), &mut quiet)
                 .expect("resume from an intact checkpoint");
             (resumed, true)
         }
@@ -120,14 +117,8 @@ proptest! {
         kill_at_ckpt in 1u64..5,
         n in 40usize..120,
         span in 20.0f64..90.0,
-        heap_first in any::<bool>(),
     ) {
         let cfg = SystemConfig::paper_defaults(Mbps(320.0));
-        let (agenda_a, agenda_b) = if heap_first {
-            (AgendaKind::Heap, AgendaKind::Wheel)
-        } else {
-            (AgendaKind::Wheel, AgendaKind::Heap)
-        };
         for (name, plan, model) in lineup() {
             let requests = requests_for(&plan, n, span);
             let sim = SystemSim::new(&plan, cfg.display_rate, model.as_ref());
@@ -135,39 +126,129 @@ proptest! {
                 .execute(RunConfig::new(&requests))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let (resumed, _) =
-                killed_and_resumed(&sim, &requests, cadence, kill_at_ckpt, agenda_a, agenda_b);
+                killed_and_resumed(&sim, &requests, cadence, kill_at_ckpt);
             prop_assert_eq!(
                 outcome_bytes(&base),
                 outcome_bytes(&resumed),
                 "{}: killed+resumed diverged from uninterrupted \
-                 (cadence {}, kill at ckpt {}, {:?}->{:?})",
-                name, cadence, kill_at_ckpt, agenda_a, agenda_b
+                 (cadence {}, kill at ckpt {})",
+                name, cadence, kill_at_ckpt
             );
         }
     }
 }
 
-/// Deterministic regression: a checkpoint written under the heap backend
-/// restores under the wheel backend (and vice versa) without changing a
-/// byte — the normalized checkpoint format is backend-free.
+/// Deterministic regression: a kill at the second checkpoint fires, and
+/// the resumed run matches the uninterrupted one byte for byte.
 #[test]
-fn heap_checkpoint_restores_under_wheel_bit_for_bit() {
+fn checkpoint_restores_bit_for_bit() {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));
     for (name, plan, model) in lineup() {
         let requests = requests_for(&plan, 96, 45.0);
         let sim = SystemSim::new(&plan, cfg.display_rate, model.as_ref());
         let base = sim.execute(RunConfig::new(&requests)).unwrap();
-        for (a, b) in [
-            (AgendaKind::Heap, AgendaKind::Wheel),
-            (AgendaKind::Wheel, AgendaKind::Heap),
-        ] {
-            let (resumed, was_killed) = killed_and_resumed(&sim, &requests, 20, 2, a, b);
-            assert!(was_killed, "{name}: the kill at checkpoint 2 must fire");
-            assert_eq!(
-                outcome_bytes(&base),
-                outcome_bytes(&resumed),
-                "{name}: {a:?}-written checkpoint diverged restoring under {b:?}"
-            );
+        let (resumed, was_killed) = killed_and_resumed(&sim, &requests, 20, 2);
+        assert!(was_killed, "{name}: the kill at checkpoint 2 must fire");
+        assert_eq!(
+            outcome_bytes(&base),
+            outcome_bytes(&resumed),
+            "{name}: the resumed run diverged"
+        );
+    }
+}
+
+/// FNV-1a 64, the SBCKPT payload checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Set column `col` of one row of the SBCKPT table at `path` to `value`
+/// and re-seal the bytes with a valid checksum and length, as a forger
+/// would. The row is the first one, or with `arrival_only` the first
+/// whose event column (2) holds an `Arrive` index (`Finish` is `null`).
+fn forge(bytes: &[u8], path: &str, arrival_only: bool, col: usize, value: u64) -> Vec<u8> {
+    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let mut root: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&bytes[nl + 1..]).unwrap()).unwrap();
+    let mut node = &mut root;
+    for key in path.split('.') {
+        let serde::Value::Object(fields) = node else {
+            panic!("{key}: parent is not an object")
+        };
+        node = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+    }
+    let serde::Value::Array(rows) = node else {
+        panic!("{path} is not an array")
+    };
+    let row = rows
+        .iter_mut()
+        .find_map(|r| match r {
+            serde::Value::Array(r) if !arrival_only || matches!(r[2], serde::Value::UInt(_)) => {
+                Some(r)
+            }
+            _ => None,
+        })
+        .expect("a row to forge");
+    row[col] = serde::Value::UInt(value);
+    let payload = serde_json::to_string(&root).unwrap();
+    let mut out = format!(
+        "SBCKPT 1 {:016x} {}\n",
+        fnv1a64(payload.as_bytes()),
+        payload.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(payload.as_bytes());
+    out
+}
+
+/// A checksum-valid checkpoint whose engine entries or scalars do not fit
+/// the slice is rejected as corrupt before anything runs, never a panic.
+#[test]
+fn forged_engine_entries_are_rejected_as_corrupt() {
+    let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    let plan = Skyscraper::with_width(Width::Capped(52))
+        .plan(&cfg)
+        .unwrap();
+    let requests = requests_for(&plan, 100, 45.0);
+    let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
+    let slices = plan_shards(&requests, 1, 0, None);
+    let mut captured = None;
+    let mut probe = |p: Probe<'_>| match p {
+        Probe::Checkpoint { encoded, .. } => {
+            captured = Some(encoded.to_vec());
+            Verdict::Kill
+        }
+        Probe::Event { .. } => Verdict::Continue,
+    };
+    let first = sim.run_shard(&slices[0], AgendaKind::Heap, 10, None, &mut probe);
+    assert!(matches!(first, Err(ShardCrash::Killed(_))));
+    let bytes = captured.expect("the first checkpoint was captured");
+
+    for (what, path, arrival_only, col, value) in [
+        ("arrival index", "engine.entries", true, 2, 1_000_000_000),
+        ("tick before the clock", "engine.entries", false, 0, 0),
+        (
+            "unissued sequence number",
+            "engine.entries",
+            false,
+            1,
+            u64::MAX,
+        ),
+        ("scalar request index", "scalars", false, 1, 1_000_000_000),
+    ] {
+        let forged = forge(&bytes, path, arrival_only, col, value);
+        let mut quiet = |_: Probe<'_>| Verdict::Continue;
+        match sim.run_shard(&slices[0], AgendaKind::Heap, 10, Some(&forged), &mut quiet) {
+            Err(ShardCrash::Corrupt(CheckpointError::Malformed(_))) => {}
+            Err(e) => panic!("{what}: wrong rejection {e}"),
+            Ok(_) => panic!("{what}: a forged checkpoint resumed"),
         }
     }
+    // The untouched bytes still resume.
+    let mut quiet = |_: Probe<'_>| Verdict::Continue;
+    assert!(sim
+        .run_shard(&slices[0], AgendaKind::Heap, 10, Some(&bytes), &mut quiet)
+        .is_ok());
 }

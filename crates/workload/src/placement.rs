@@ -24,7 +24,7 @@
 //! Everything is a pure function of the scenario and the server count:
 //! two calls with equal inputs produce identical host tables, which is
 //! what lets `analysis::distribution_study` promise byte-identical
-//! artifacts across `--shards × --threads × --agenda`.
+//! artifacts across `--shards × --threads`.
 
 use serde::{Deserialize, Serialize};
 

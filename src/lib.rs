@@ -40,7 +40,7 @@ pub use vod_units as units;
 /// The things almost every program wants in scope: the scheme and
 /// baseline constructors, the single-session policy helpers, and —
 /// via [`sb_sim::prelude`] — the whole `execute(RunConfig)` run
-/// surface (builder, outcome, agenda/partition selectors, distributed
+/// surface (builder, outcome, partition selector, distributed
 /// tier) plus the supervised-run outcomes from `sb-resilience`.
 pub mod prelude {
     pub use sb_core::plan::VideoId;

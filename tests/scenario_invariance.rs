@@ -5,8 +5,8 @@
 //! request stream (clustered geography, region-local catalogs, diurnal
 //! shape, a flash crowd in the busiest region) run through `SystemSim`
 //! with the region→shard partition table must be *bitwise* identical
-//! across the full grid `--shards {1, 2, 4} × --threads {1, 2, 4} ×
-//! --agenda {heap, wheel}`: same report, same streamed fold (struct and
+//! across the full grid `--shards {1, 2, 4} × --threads {1, 2, 4}`:
+//! same report, same streamed fold (struct and
 //! serialized bytes), same merged metrics snapshot. This extends the
 //! `sim::shard` ordered-replay argument (`DESIGN.md` §11) to the
 //! partition slot of §13 over the whole scenario input space, not just
@@ -22,7 +22,7 @@ use sb_core::series::Width;
 use sb_core::Skyscraper;
 use sb_sim::policy::ClientPolicy;
 use sb_sim::system::{Request, SystemSim};
-use sb_sim::{AgendaKind, RunConfig, StreamingFold};
+use sb_sim::{RunConfig, StreamingFold};
 use sb_workload::{FlashCrowd, MetroScenario, ScenarioPreset, ScenarioWorkload};
 
 proptest! {
@@ -79,37 +79,34 @@ proptest! {
         for shards in [1usize, 2, 4] {
             let map = scenario.shard_map(shards);
             for threads in [1usize, 2, 4] {
-                for agenda in [AgendaKind::Heap, AgendaKind::Wheel] {
-                    let mut fold = StreamingFold::new();
-                    let run = SystemSim::new(&plan, sys.display_rate, ClientPolicy::LatestFeasible)
-                        .execute(
-                            RunConfig::new(&requests)
-                                .sink(&mut fold)
-                                .partition(&map)
-                                .shards(shards)
-                                .threads(threads)
-                                .agenda(agenda)
-                                .seed(seed),
-                        )
-                        .unwrap();
-                    let knobs = format!("shards {shards} × threads {threads} × {agenda:?}");
-                    prop_assert_eq!(&base.summary, &run.summary, "report diverged at {}", &knobs);
-                    prop_assert_eq!(&base.fold, &run.fold, "fold diverged at {}", &knobs);
-                    prop_assert_eq!(
-                        &base.snapshot, &run.snapshot,
-                        "snapshot diverged at {}", &knobs
-                    );
-                    prop_assert_eq!(
-                        &base_bytes,
-                        &serde_json::to_string(&fold.finish()).unwrap(),
-                        "caller fold bytes diverged at {}", &knobs
-                    );
-                    prop_assert_eq!(base.stats.fired, run.stats.fired, "{}", &knobs);
-                    prop_assert_eq!(
-                        run.shard_peak_agenda.len(), shards,
-                        "{}", &knobs
-                    );
-                }
+                let mut fold = StreamingFold::new();
+                let run = SystemSim::new(&plan, sys.display_rate, ClientPolicy::LatestFeasible)
+                    .execute(
+                        RunConfig::new(&requests)
+                            .sink(&mut fold)
+                            .partition(&map)
+                            .shards(shards)
+                            .threads(threads)
+                            .seed(seed),
+                    )
+                    .unwrap();
+                let knobs = format!("shards {shards} × threads {threads}");
+                prop_assert_eq!(&base.summary, &run.summary, "report diverged at {}", &knobs);
+                prop_assert_eq!(&base.fold, &run.fold, "fold diverged at {}", &knobs);
+                prop_assert_eq!(
+                    &base.snapshot, &run.snapshot,
+                    "snapshot diverged at {}", &knobs
+                );
+                prop_assert_eq!(
+                    &base_bytes,
+                    &serde_json::to_string(&fold.finish()).unwrap(),
+                    "caller fold bytes diverged at {}", &knobs
+                );
+                prop_assert_eq!(base.stats.fired, run.stats.fired, "{}", &knobs);
+                prop_assert_eq!(
+                    run.shard_peak_agenda.len(), shards,
+                    "{}", &knobs
+                );
             }
         }
     }
