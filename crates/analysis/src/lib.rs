@@ -20,12 +20,12 @@
 //! | [`scale_study`] | sharded scale-out: per-shard agenda footprint and sim-time rates vs `S` |
 //! | [`scenario_study`] | metropolitan scenarios: per-region-class SB vs baselines, flash crowds, correlated outages, diurnal × density |
 //! | [`mod@distribution_study`] | the distributed tier: placement policies × peer assist priced against the Viennot source-once bound |
-//! | [`study`] | the [`study::Study`] trait and registry every CLI subcommand and bench bin dispatches through |
+//! | [`study`] | the [`study::Study`] trait and registry: every paper table and figure and every study, one `sbcast` subcommand each |
 //! | [`runner`] | [`runner::Experiment`] descriptors, the deterministic parallel [`runner::Runner`], and [`runner::RunManifest`] timings |
 //!
-//! The binaries in `sb-bench` are thin wrappers over this crate: each
-//! prints one paper artifact (`fig5` … `fig8`, `table1`, `table2`,
-//! `fig1_4`, `ablation`).
+//! `sbcast <name>` runs any registered study: `sbcast table1`, `sbcast
+//! fig7` and their siblings print one paper artifact each, and `--json`
+//! writes its data.
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,15 @@
 //! Plain-text and JSON rendering of figures and tables.
 //!
 //! The paper's artifacts are regenerated as fixed-width text (one row per
-//! bandwidth, one column per curve) so `cargo run -p sb-bench --bin figN`
-//! prints something directly comparable with the paper's plots, plus JSON
+//! bandwidth, one column per curve) so `sbcast fig7` and its siblings
+//! print something directly comparable with the paper's plots, plus JSON
 //! for downstream plotting.
 
 use std::fmt::Write as _;
 
-use crate::figures::Figure;
+use crate::ablation::SeriesReport;
+use crate::crosscheck::CrossCheck;
+use crate::figures::{Figure, TransitionDemo};
 use crate::tables::{EvaluatedRow, FormulaRow};
 
 /// Render a figure as a fixed-width table: x in the first column, one
@@ -99,6 +101,116 @@ pub fn render_evaluations(rows: &[EvaluatedRow]) -> String {
             r.buffer_mbytes,
         );
     }
+    out
+}
+
+/// Render Figures 1–4: per transition case, the worst arrival phase's
+/// measured peak against §4's bound, then its full buffer profile.
+#[must_use]
+pub fn render_transition_demos(demos: &[TransitionDemo]) -> String {
+    let mut out = String::new();
+    for d in demos {
+        let _ = writeln!(out, "== {} ==", d.figure);
+        let _ = writeln!(out, "{}", d.description);
+        let _ = writeln!(out, "units: {:?}", d.units);
+        let _ = writeln!(
+            out,
+            "worst phase t0={}  measured peak = {} units  (section-4 bound: {} units; 1 unit = 60*b*D1 Mbits)",
+            d.worst_phase, d.measured_peak_units, d.bound_units
+        );
+        out.push_str("buffer profile (slot units): ");
+        for (t, b) in &d.profile {
+            let _ = write!(out, "({t},{b}) ");
+        }
+        out.push_str("\n\n");
+    }
+    out
+}
+
+/// Render one bandwidth's analytic-vs-simulated cross-check table
+/// (buffers in MBytes).
+#[must_use]
+pub fn render_crosscheck(bandwidth: f64, checks: &[CrossCheck]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "== B = {bandwidth} Mb/s ==");
+    let _ = writeln!(
+        out,
+        "{:<12} {:>14} {:>14} {:>7} {:>14} {:>14} {:>7} {:>8}",
+        "scheme",
+        "latency(anl)",
+        "latency(sim)",
+        "ratio",
+        "buffer(anl)MB",
+        "buffer(sim)MB",
+        "ratio",
+        "streams"
+    );
+    for c in checks {
+        let _ = writeln!(
+            out,
+            "{:<12} {:>14.4} {:>14.4} {:>7.3} {:>14.1} {:>14.1} {:>7.3} {:>8}",
+            c.scheme,
+            c.analytic.access_latency.value(),
+            c.sim_worst_latency,
+            c.latency_ratio(),
+            c.analytic.buffer_requirement.value() / 8.0,
+            c.sim_peak_buffer / 8.0,
+            c.buffer_ratio(),
+            c.sim_max_streams
+        );
+    }
+    out.push('\n');
+    out
+}
+
+/// Render the ablations: A1's series-shape table, A2's width-sensitivity
+/// rows `(W, latency, buffer, marginal MB per saved second)`, and A3's
+/// greedy series next to the paper's.
+#[must_use]
+pub fn render_ablation(
+    reports: &[SeriesReport],
+    widths: &[(u64, f64, f64, f64)],
+    greedy: &[u64],
+    paper: &[u64],
+) -> String {
+    let mut out =
+        String::from("A1: series-shape ablation (K=12, D=120 min, 1024 arrival phases)\n\n");
+    let _ = writeln!(
+        out,
+        "{:<16} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9}",
+        "series", "latency(min)", "conflicts", "jitter", "peak(u)", "usable", "loaders"
+    );
+    for r in reports {
+        let _ = writeln!(
+            out,
+            "{:<16} {:>12.4} {:>10} {:>10} {:>10} {:>9} {:>9}",
+            r.name,
+            r.latency_min,
+            r.phases_with_conflicts,
+            r.phases_with_jitter,
+            r.worst_peak_units,
+            r.usable(),
+            r.loaders_needed.map_or("-".into(), |l| l.to_string()),
+        );
+    }
+    out.push_str("\nA2: width sensitivity at K=40 (B=600 Mb/s)\n\n");
+    let _ = writeln!(
+        out,
+        "{:>8} {:>14} {:>12} {:>22}",
+        "W", "latency(min)", "buffer(MB)", "marginal MB per sec"
+    );
+    for (w, lat, buf, marginal) in widths {
+        let _ = writeln!(out, "{w:>8} {lat:>14.4} {buf:>12.1} {marginal:>22.2}");
+    }
+    out.push_str("\nA3: greedy search for the fastest two-loader-safe series\n\n");
+    let _ = writeln!(out, "greedy-maximal: {greedy:?}");
+    let _ = writeln!(out, "paper's series: {paper:?}");
+    let _ = writeln!(
+        out,
+        "match: {} — the paper's series is exactly the fastest series the\n\
+         two-loader client can follow",
+        greedy == paper
+    );
     out
 }
 

@@ -12,11 +12,10 @@
 //! from a shared counter and return `(index, result)` pairs; the runner
 //! reassembles results *by index*, so the output of [`Runner::map`] is
 //! identical to the serial loop for every thread count. Anything
-//! non-deterministic (wall-clock timings, progress counters) goes to
-//! stderr or the manifest, never to the result values — `--threads 8`
-//! must serialize to the same bytes as `--threads 1`.
+//! non-deterministic (wall-clock timings) goes to stderr or the manifest,
+//! never to the result values — `--threads 8` must serialize to the same
+//! bytes as `--threads 1`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -59,16 +58,10 @@ impl Experiment {
     /// An experiment over `[from, to]` in steps of `step` Mb/s.
     ///
     /// # Panics
-    /// Panics on a degenerate range or step.
+    /// Panics on a range [`bandwidth_range`] rejects.
     #[must_use]
     pub fn over_range(name: &str, schemes: Vec<SchemeId>, from: f64, to: f64, step: f64) -> Self {
-        assert!(step > 0.0 && to >= from, "bad sweep range");
-        let mut bandwidths = Vec::new();
-        let mut b = from;
-        while b <= to + 1e-9 {
-            bandwidths.push(b);
-            b += step;
-        }
+        let bandwidths = bandwidth_range(from, to, step).expect("bad sweep range");
         Self::new(name, schemes, bandwidths)
     }
 
@@ -88,6 +81,31 @@ impl Experiment {
             .flat_map(|&b| self.schemes.iter().map(move |&id| (id, b)))
             .collect()
     }
+}
+
+/// The most bandwidths one range may hold.
+const MAX_RANGE_POINTS: usize = 10_000;
+
+/// The bandwidth grid `from, from + step, …` up to `to` (inclusive, with
+/// a 1e-9 tolerance), or `None` when `from`, `to` or `step` is not
+/// finite, `step` is not positive, `to < from`, or the grid would hold
+/// more than 10 000 points. The cap also stops a step too small to move
+/// `from` at all.
+#[must_use]
+pub fn bandwidth_range(from: f64, to: f64, step: f64) -> Option<Vec<f64>> {
+    if !(from.is_finite() && to.is_finite() && step.is_finite() && step > 0.0 && to >= from) {
+        return None;
+    }
+    let mut bandwidths = Vec::new();
+    let mut b = from;
+    while b <= to + 1e-9 {
+        if bandwidths.len() == MAX_RANGE_POINTS {
+            return None;
+        }
+        bandwidths.push(b);
+        b += step;
+    }
+    Some(bandwidths)
 }
 
 /// Wall-clock record of one runner stage.
@@ -142,7 +160,6 @@ impl RunManifest {
 /// A deterministic worker pool.
 pub struct Runner {
     threads: usize,
-    progress: bool,
     timings: Mutex<Vec<StageTiming>>,
 }
 
@@ -157,7 +174,6 @@ impl Runner {
         };
         Self {
             threads,
-            progress: false,
             timings: Mutex::new(Vec::new()),
         }
     }
@@ -166,13 +182,6 @@ impl Runner {
     #[must_use]
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// Enable `completed/total` progress counters on stderr.
-    #[must_use]
-    pub fn with_progress(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
     }
 
     /// The configured worker count.
@@ -186,11 +195,14 @@ impl Runner {
     /// a shared index counter and results are reassembled by index, so the
     /// output is identical either way.
     pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        self.map_inner(items, &f, None)
+        sb_sim::parallel_map(self.threads, "map", items, |_, t| f(t))
     }
 
-    /// [`Runner::map`] plus a [`StageTiming`] entry in the manifest (and,
-    /// with progress on, live counters labelled `stage` on stderr).
+    /// [`Runner::map`] plus a [`StageTiming`] entry in the manifest.
+    ///
+    /// [`sb_sim::parallel_map`] does the claiming and reassembly, so a
+    /// panicking cell surfaces as `"<stage>: worker panicked on item
+    /// <index>/<n>: <payload>"` instead of an anonymous worker-join abort.
     pub fn timed_map<T: Sync, R: Send>(
         &self,
         stage: &str,
@@ -198,7 +210,7 @@ impl Runner {
         f: impl Fn(&T) -> R + Sync,
     ) -> Vec<R> {
         let t0 = Instant::now();
-        let out = self.map_inner(items, &f, Some(stage));
+        let out = sb_sim::parallel_map(self.threads, stage, items, |_, t| f(t));
         self.timings
             .lock()
             .expect("timings poisoned")
@@ -208,35 +220,6 @@ impl Runner {
                 threads: self.threads.min(items.len().max(1)),
                 wall_ms: u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
             });
-        out
-    }
-
-    /// The shared mapping core: [`sb_sim::parallel_map`] does the claiming
-    /// and reassembly, so a panicking cell surfaces as
-    /// `"<stage>: worker panicked on item <index>/<n>: <payload>"` instead
-    /// of an anonymous worker-join abort. Progress counters ride along in
-    /// the closure (stderr only — results never depend on them).
-    fn map_inner<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: &(impl Fn(&T) -> R + Sync),
-        stage: Option<&str>,
-    ) -> Vec<R> {
-        let n = items.len();
-        let done = AtomicUsize::new(0);
-        let out = sb_sim::parallel_map(self.threads, stage.unwrap_or("map"), items, |_, t| {
-            let r = f(t);
-            if self.progress {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(s) = stage {
-                    eprint!("\r{s}: {d}/{n} ");
-                }
-            }
-            r
-        });
-        if self.progress && stage.is_some() {
-            eprintln!();
-        }
         out
     }
 
@@ -411,6 +394,32 @@ mod tests {
         let a = serde_json::to_string(&par).unwrap();
         let b = serde_json::to_string(&serial).unwrap();
         assert_eq!(a, b, "serialized bytes must match");
+    }
+
+    #[test]
+    fn bandwidth_ranges_are_finite_and_bounded() {
+        assert_eq!(
+            bandwidth_range(100.0, 600.0, 20.0).map(|b| b.len()),
+            Some(26)
+        );
+        assert_eq!(bandwidth_range(300.0, 300.0, 20.0), Some(vec![300.0]));
+        for (from, to, step) in [
+            (100.0, f64::INFINITY, 20.0),
+            (f64::NAN, 600.0, 20.0),
+            (100.0, 600.0, f64::INFINITY),
+            (100.0, 600.0, 0.0),
+            (600.0, 100.0, 20.0),
+            // `b += 1` does not move 1e17: only the point cap stops it.
+            (1e17, 2e17, 1.0),
+            (1e17, 1e17, 1.0),
+            (0.0, 10_000.0, 1.0),
+        ] {
+            assert_eq!(bandwidth_range(from, to, step), None, "{from} {to} {step}");
+        }
+        assert_eq!(
+            bandwidth_range(1.0, 10_000.0, 1.0).map(|b| b.len()),
+            Some(10_000)
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The [`Study`] trait and registry: one dispatch surface for every
-//! study this crate ships.
+//! study this crate ships, the paper's own tables and figures included.
 //!
-//! Before this module existed, `sbcast` and the `sb-bench` binaries
-//! each hand-rolled an entry point per study — nine nearly identical
-//! flag-parse / run / render / write-artifact stanzas. A [`Study`] now
-//! owns all of that behind four methods:
+//! `sbcast <name>` is the only way to run a study. A [`Study`] owns
+//! everything one run needs behind four methods:
 //!
-//! * [`Study::name`] — the subcommand spelling (`sweep`, `frontier`, …),
+//! * [`Study::name`] — the subcommand spelling (`table1`, `fig7`,
+//!   `sweep`, `frontier`, …),
 //! * [`Study::artifact`] — the default `BENCH_*.json` path, when the
 //!   study emits one unconditionally,
 //! * [`Study::sharded`] — whether `--shards > 1` is meaningful,
@@ -15,11 +14,15 @@
 //!
 //! The CLI resolves a subcommand with [`find`], runs it, prints
 //! [`StudyOutput::rendered`] to stdout and writes
-//! [`StudyOutput::report_json`] to the artifact path — so stdout and the
-//! JSON stay byte-identical with the pre-registry binaries, flag
-//! spellings, defaults and error strings included. Wall-clock rates come
-//! from [`StudyOutput::sessions`] / [`StudyOutput::events`] and go to
-//! stderr only.
+//! [`StudyOutput::report_json`] to the artifact path (or `--json`).
+//! Both are byte-identical for every `--threads` and `--shards`.
+//! Wall-clock rates come from [`StudyOutput::sessions`] /
+//! [`StudyOutput::events`] and go to stderr only.
+//!
+//! The paper's artifacts — `table1`, `table2`, `fig1_4`, `fig5`–`fig8`,
+//! `crosscheck`, `ablation` and `landscape` — are fixed evaluations:
+//! they read no flags of their own, write no default artifact and are
+//! not sharded.
 //!
 //! Two subcommands keep a non-study half outside the registry: `hybrid`
 //! without `--rates` (the single-server report) and `recovery --mode
@@ -32,33 +35,41 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sb_batching::BatchPolicy;
 use sb_control::ControlConfig;
-use sb_core::series::Width;
+use sb_core::custom::{greedy_max_series, PhaseBudget};
+use sb_core::series::{series, Width};
 use sb_metrics::Snapshot;
 use sb_resilience::{ChannelOutage, FaultScript};
 use sb_workload::{PlacementPolicy, ScenarioPreset};
 use vod_units::{Mbps, Minutes};
 
+use crate::ablation::{series_ablation_with, width_ablation};
 use crate::control_study::{render_shift_study, shift_study, ShiftStudyConfig};
+use crate::crosscheck::crosscheck_lineup_with;
 use crate::distribution_study::{distribution_study, render_distribution, DistributionStudyConfig};
+use crate::figures::Figure;
 use crate::frontier::{frontier_report, render_frontier, FrontierConfig};
-use crate::lineup::schemes_from;
+use crate::lineup::{extended_lineup, landscape_lineup, paper_lineup, schemes_from, SchemeId};
 use crate::recovery_study::{recovery_study, render_recovery, RecoveryConfig};
-use crate::render::render_figure;
+use crate::render::{
+    render_ablation, render_crosscheck, render_evaluations, render_figure, render_formulas,
+    render_transition_demos,
+};
 use crate::resilience_study::{render_resilience_study, resilience_study, ResilienceStudyConfig};
-use crate::runner::{run_experiment, Experiment, Runner};
+use crate::runner::{bandwidth_range, run_experiment, Experiment, Runner};
 use crate::scale_study::{render_scale, scale_study, ScaleConfig};
 use crate::scenario_study::{render_scenario, scenario_study, ScenarioStudyConfig};
+use crate::sweep::{paper_sweep_with, SweepRow};
+use crate::tables::{evaluate_tables_with, table1_formulas, table2_rules};
 use crate::throughput::{render_throughput, throughput_study, ThroughputConfig};
 use crate::{figures, hybrid_study};
 
-/// The `--key value` flag map a study parses its configuration from.
+/// The `--key value` flag map of one `sbcast` invocation, which every
+/// command and study parses its configuration from.
 ///
-/// Lookups mirror the CLI's historical parser bit-for-bit: the same
-/// defaults-on-absence behaviour and the same error strings
-/// (`--{key}: bad number `{v}``, `--{key}: bad integer `{v}``), so
-/// moving the parse into the studies changed no user-visible message.
-/// Every lookup records its key, so a front end can reject the flags no
-/// study read ([`StudyOpts::read_keys`]).
+/// Absent keys take the caller's default; a value that does not parse
+/// is `--{key}: bad number `{v}`` or `--{key}: bad integer `{v}``.
+/// Every lookup records its key, so the front end can reject the flags
+/// no command read ([`StudyOpts::unread`]).
 #[derive(Debug, Clone, Default)]
 pub struct StudyOpts(BTreeMap<String, String>, RefCell<BTreeSet<String>>);
 
@@ -79,11 +90,6 @@ impl StudyOpts {
         )
     }
 
-    /// Set one flag, replacing any previous value.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.0.insert(key.into(), value.into());
-    }
-
     /// The raw value of `--{key}`, if given.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -91,10 +97,12 @@ impl StudyOpts {
         self.0.get(key).map(String::as_str)
     }
 
-    /// Every key looked up so far, whether or not it was given.
+    /// The first given key (in sorted order) that no lookup has asked
+    /// for — a flag the command would otherwise silently ignore.
     #[must_use]
-    pub fn read_keys(&self) -> Vec<String> {
-        self.1.borrow().iter().cloned().collect()
+    pub fn unread(&self) -> Option<String> {
+        let read = self.1.borrow();
+        self.0.keys().find(|k| !read.contains(*k)).cloned()
     }
 
     /// `--{key}` as an `f64`, or `default` when absent.
@@ -106,6 +114,17 @@ impl StudyOpts {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
         }
+    }
+
+    /// `--{key}` as a positive, finite `f64` — a rate, horizon, patience
+    /// or boost — or `default` when absent.
+    ///
+    /// # Errors
+    /// `--{key}: bad number `{v}`` when the value does not parse, and
+    /// `--{key}: must be positive and finite, got `{v}`` when it is zero,
+    /// negative, NaN or infinite.
+    pub fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        positive(key, self.get_f64(key, default)?)
     }
 
     /// `--{key}` as a `usize`, or `default` when absent.
@@ -213,6 +232,16 @@ pub trait Study: Sync {
     fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String>;
 }
 
+/// `v` when it is positive and finite, else the typed `--{key}` error
+/// [`StudyOpts::get_positive`] documents.
+fn positive(key: &str, v: f64) -> Result<f64, String> {
+    if v > 0.0 && v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("--{key}: must be positive and finite, got `{v}`"))
+    }
+}
+
 /// Parse a comma-separated list, with the CLI's `bad {what} `{t}``
 /// message on the first token that does not parse.
 fn parse_csv<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, String> {
@@ -276,10 +305,9 @@ impl Study for SweepStudy {
         let samples = o.get_usize("samples", 24)?;
         let seed = ctx.seed.unwrap_or(0);
         let ids = schemes_from(&o.get_str("scheme", "all"))?;
-        if !(step > 0.0 && to >= from) {
-            return Err(format!("bad sweep range: from {from} to {to} step {step}"));
-        }
-        let exp = Experiment::over_range("sweep", ids.clone(), from, to, step).with_seed(seed);
+        let bandwidths = bandwidth_range(from, to, step)
+            .ok_or_else(|| format!("bad sweep range: from {from} to {to} step {step}"))?;
+        let exp = Experiment::new("sweep", ids.clone(), bandwidths).with_seed(seed);
         let report = run_experiment(&exp, Minutes(15.0), samples, ctx.runner);
         let mut rendered = String::new();
         for (fig, name) in [
@@ -332,11 +360,14 @@ impl Study for HybridStudy {
             "hybrid study mode needs --rates r1,r2,… (run without --rates for the single-server report)"
                 .to_string()
         })?;
-        let rates: Vec<f64> = parse_csv(spec, "rate")?;
+        let rates = parse_csv(spec, "rate")?
+            .into_iter()
+            .map(|r| positive("rates", r))
+            .collect::<Result<Vec<f64>, _>>()?;
         let b = o.get_f64("bandwidth", 600.0)?;
         let titles = o.get_usize("titles", 60)?;
         let popular = o.get_usize("popular", 10)?;
-        let horizon = o.get_f64("horizon", 600.0)?;
+        let horizon = o.get_positive("horizon", 600.0)?;
         let width = o.get_usize("width", 52)? as u64;
         let cfg = hybrid_study::StudyConfig {
             titles,
@@ -403,11 +434,11 @@ impl Study for ControlStudy {
         };
         let cfg = ShiftStudyConfig {
             control,
-            rate: o.get_f64("rate", 6.0)?,
-            horizon: Minutes(o.get_f64("horizon", 600.0)?),
+            rate: o.get_positive("rate", 6.0)?,
+            horizon: Minutes(o.get_positive("horizon", 600.0)?),
             shift_at: Minutes(o.get_f64("shift-at", 150.0)?),
             rotate: o.get_usize("rotate", titles / 2)?,
-            mean_patience: Minutes(o.get_f64("patience", 45.0)?),
+            mean_patience: Minutes(o.get_positive("patience", 45.0)?),
             seeds: parse_csv(&o.get_str("seeds", "11,23,47"), "seed")?,
         };
         let (study, snapshot) = shift_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
@@ -428,7 +459,7 @@ impl Study for ResilienceStudy {
         let o = ctx.opts;
         let mut cfg = ResilienceStudyConfig::paper_defaults();
         cfg.bandwidth = Mbps(o.get_f64("bandwidth", 320.0)?);
-        cfg.horizon = Minutes(o.get_f64("horizon", 200.0)?);
+        cfg.horizon = Minutes(o.get_positive("horizon", 200.0)?);
         cfg.samples = o.get_usize("samples", 24)?;
         cfg.burst_len = o.get_f64("burst-len", 4.0)?;
         if let Some(spec) = o.get("loss-rates") {
@@ -443,8 +474,8 @@ impl Study for ResilienceStudy {
             }],
             ..FaultScript::none()
         };
-        cfg.rate = o.get_f64("rate", 6.0)?;
-        cfg.mean_patience = Minutes(o.get_f64("patience", 45.0)?);
+        cfg.rate = o.get_positive("rate", 6.0)?;
+        cfg.mean_patience = Minutes(o.get_positive("patience", 45.0)?);
         cfg.control.admission_retry = parse_backoff(o)?;
         let (study, snapshot) = resilience_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
         Ok(StudyOutput::of(render_resilience_study(&study), &study)?.with_metrics(snapshot))
@@ -472,7 +503,7 @@ impl Study for ThroughputStudy {
             Some(s) => schemes_from(s)?,
         };
         cfg.sessions = o.get_usize("samples", cfg.sessions)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.churn_cancels = o.get_usize("churn-cancels", cfg.churn_cancels as usize)? as u64;
         cfg.seed = ctx.seed.unwrap_or(cfg.seed);
         let (report, snapshot) = throughput_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
@@ -508,7 +539,7 @@ impl Study for ScaleStudy {
         let mut cfg = ScaleConfig::paper_defaults();
         cfg.bandwidth = Mbps(o.get_f64("bandwidth", cfg.bandwidth.value())?);
         cfg.sessions = o.get_usize("sessions", cfg.sessions)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.videos = o.get_usize("videos", cfg.videos)?;
         cfg.seed = ctx.seed.unwrap_or(cfg.seed);
         let (report, snapshot) =
@@ -554,11 +585,11 @@ impl Study for ScenarioStudy {
         if let Some(s) = o.get("scheme") {
             cfg.schemes = schemes_from(s)?;
         }
-        cfg.rate = o.get_f64("rate", cfg.rate)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
-        cfg.mean_patience = Minutes(o.get_f64("patience", cfg.mean_patience.value())?);
+        cfg.rate = o.get_positive("rate", cfg.rate)?;
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
+        cfg.mean_patience = Minutes(o.get_positive("patience", cfg.mean_patience.value())?);
         cfg.flash_at = Minutes(o.get_f64("flash-at", cfg.flash_at.value())?);
-        cfg.flash_rate_boost = o.get_f64("flash-boost", cfg.flash_rate_boost)?;
+        cfg.flash_rate_boost = o.get_positive("flash-boost", cfg.flash_rate_boost)?;
         cfg.outage_start = Minutes(o.get_f64("outage-start", cfg.outage_start.value())?);
         cfg.outage_duration = Minutes(o.get_f64("outage-duration", cfg.outage_duration.value())?);
         cfg.seed = ctx.seed.unwrap_or(cfg.seed);
@@ -610,7 +641,7 @@ impl Study for RecoveryStudy {
         let mut cfg = parse_profile(o, RecoveryConfig::paper_defaults, RecoveryConfig::smoke)?;
         cfg.bandwidth = Mbps(o.get_f64("bandwidth", cfg.bandwidth.value())?);
         cfg.sessions = o.get_usize("sessions", cfg.sessions)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.videos = o.get_usize("titles", cfg.videos)?;
         cfg.kills = o.get_usize("kills", cfg.kills)?;
         cfg.seed = ctx.seed.unwrap_or(cfg.seed);
@@ -653,7 +684,7 @@ impl Study for FrontierStudy {
             cfg.catalogs = parse_csv(spec, "catalog size")?;
         }
         cfg.sessions = o.get_usize("sessions", cfg.sessions)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.include_buggy_hb = o.get_str("buggy-hb", "no") != "no";
         cfg.seed = ctx.seed.unwrap_or(cfg.seed);
         let report = frontier_report(&cfg, ctx.shards, ctx.runner);
@@ -702,9 +733,9 @@ impl Study for DistributionStudy {
                 })
                 .collect::<Result<_, _>>()?;
         }
-        cfg.rate = o.get_f64("rate", cfg.rate)?;
-        cfg.horizon = Minutes(o.get_f64("horizon", cfg.horizon.value())?);
-        cfg.mean_patience = Minutes(o.get_f64("patience", cfg.mean_patience.value())?);
+        cfg.rate = o.get_positive("rate", cfg.rate)?;
+        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
+        cfg.mean_patience = Minutes(o.get_positive("patience", cfg.mean_patience.value())?);
         cfg.backbone_mbps = o.get_f64("backbone", cfg.backbone_mbps)?;
         cfg.tail_from = o.get_usize("tail-from", cfg.tail_from)?;
         cfg.uplink_fraction = o.get_f64("uplink-fraction", cfg.uplink_fraction)?;
@@ -718,10 +749,198 @@ impl Study for DistributionStudy {
     }
 }
 
-/// Every registered study, in `sbcast`'s usage order.
+/// A table of Table-1 metrics over a fixed lineup and bandwidth list:
+/// Table 1, Table 2 and the beyond-paper landscape. The report is the
+/// evaluated rows; the text wraps them in the table's own preamble.
+struct TableStudy {
+    name: &'static str,
+    /// Everything printed above the rows.
+    intro: fn() -> String,
+    lineup: fn() -> Vec<SchemeId>,
+    bandwidths: &'static [f64],
+    /// Everything printed below the rows.
+    outro: &'static str,
+}
+
+impl Study for TableStudy {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
+        let rows = evaluate_tables_with(&(self.lineup)(), self.bandwidths, ctx.runner);
+        let rendered = format!(
+            "{}{}{}",
+            (self.intro)(),
+            render_evaluations(&rows),
+            self.outro
+        );
+        StudyOutput::of(rendered, &rows)
+    }
+}
+
+fn table1_intro() -> String {
+    format!(
+        "Table 1: performance computation (as reconstructed; DESIGN.md section 3)\n\n{}\n\
+         Evaluated at the paper's workload (M=10, D=120 min, b=1.5 Mb/s):\n\n",
+        render_formulas(&table1_formulas())
+    )
+}
+
+fn table2_intro() -> String {
+    let mut out = String::from(
+        "Table 2: design parameter determination (as reconstructed; DESIGN.md section 3)\n\n",
+    );
+    for (scheme, rule) in table2_rules() {
+        out.push_str(&format!("{scheme:7} {rule}\n"));
+    }
+    out.push_str("\nResolved parameters:\n\n");
+    out
+}
+
+fn landscape_intro() -> String {
+    "periodic-broadcast landscape at the paper's workload (M=10, D=120, b=1.5):\n\n".to_string()
+}
+
+/// Draws one figure panel from the paper sweep's rows and lineup.
+type Panel = fn(&[SweepRow], &[SchemeId]) -> Figure;
+
+/// One of Figures 5–8: panels drawn from the paper's 100–600 Mb/s sweep
+/// of the paper lineup. A one-panel figure reports that figure; Figure
+/// 5's two panels report as an array.
+struct FigureStudy {
+    name: &'static str,
+    panels: &'static [Panel],
+}
+
+impl Study for FigureStudy {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
+        let ids = paper_lineup();
+        let rows = paper_sweep_with(&ids, ctx.runner);
+        let figs: Vec<Figure> = self.panels.iter().map(|panel| panel(&rows, &ids)).collect();
+        let rendered = figs
+            .iter()
+            .map(render_figure)
+            .collect::<Vec<_>>()
+            .join("\n");
+        match figs.as_slice() {
+            [fig] => StudyOutput::of(rendered, fig),
+            _ => StudyOutput::of(rendered, &figs),
+        }
+    }
+}
+
+/// Figures 1–4: the §4 group-transition buffer profiles, measured from
+/// the exact slot-level client model at each case's worst arrival phase.
+struct TransitionStudy;
+
+impl Study for TransitionStudy {
+    fn name(&self) -> &'static str {
+        "fig1_4"
+    }
+
+    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
+        let demos = figures::figures1_to_4_with(ctx.runner);
+        StudyOutput::of(render_transition_demos(&demos), &demos)
+    }
+}
+
+/// Analytic vs simulated latency and buffer for the extended lineup at
+/// the paper's spotlight bandwidths — the data behind EXPERIMENTS.md.
+struct CrosscheckStudy;
+
+impl Study for CrosscheckStudy {
+    fn name(&self) -> &'static str {
+        "crosscheck"
+    }
+
+    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
+        let mut rendered = String::new();
+        let mut all = Vec::new();
+        for b in [100.0, 320.0, 600.0] {
+            let checks =
+                crosscheck_lineup_with(&extended_lineup(), Mbps(b), Minutes(15.0), 120, ctx.runner);
+            rendered.push_str(&render_crosscheck(b, &checks));
+            all.extend(checks);
+        }
+        StudyOutput::of(rendered, &all)
+    }
+}
+
+/// The beyond-paper ablations: series shape (A1), width sensitivity (A2)
+/// and the greedy rediscovery of the paper's series (A3).
+struct AblationStudy;
+
+impl Study for AblationStudy {
+    fn name(&self) -> &'static str {
+        "ablation"
+    }
+
+    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
+        let reports = series_ablation_with(12, Minutes(120.0), 1024, ctx.runner);
+        let widths = width_ablation(Minutes(120.0), 40);
+        let greedy = greedy_max_series(11, PhaseBudget::ExhaustiveUpTo(100_000));
+        let rendered = render_ablation(&reports, &widths, &greedy, &series(11));
+        StudyOutput::of(rendered, &(reports, widths, greedy))
+    }
+}
+
+/// Every registered study, in `sbcast`'s usage order: the paper's
+/// artifacts first, then the studies beyond it.
 #[must_use]
 pub fn registry() -> &'static [&'static dyn Study] {
     const REGISTRY: &[&dyn Study] = &[
+        &TableStudy {
+            name: "table1",
+            intro: table1_intro,
+            lineup: paper_lineup,
+            bandwidths: &[100.0, 200.0, 300.0, 320.0, 400.0, 500.0, 600.0],
+            outro: "",
+        },
+        &TableStudy {
+            name: "table2",
+            intro: table2_intro,
+            lineup: paper_lineup,
+            bandwidths: &[
+                100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0, 550.0, 600.0,
+            ],
+            outro: "",
+        },
+        &TransitionStudy,
+        &FigureStudy {
+            name: "fig5",
+            panels: &[
+                |rows, _| figures::figure5a(rows),
+                |rows, _| figures::figure5b(rows),
+            ],
+        },
+        &FigureStudy {
+            name: "fig6",
+            panels: &[figures::figure6],
+        },
+        &FigureStudy {
+            name: "fig7",
+            panels: &[figures::figure7],
+        },
+        &FigureStudy {
+            name: "fig8",
+            panels: &[figures::figure8],
+        },
+        &CrosscheckStudy,
+        &AblationStudy,
+        &TableStudy {
+            name: "landscape",
+            intro: landscape_intro,
+            lineup: landscape_lineup,
+            bandwidths: &[100.0, 320.0, 600.0],
+            outro: "\nnote: FB needs K+1 display-rate tuners at the client; HB:delayed needs to\n\
+                    record every channel mid-broadcast (see sb_sim::receive_all for the\n\
+                    original HB's correctness bug, demonstrated).\n",
+        },
         &SweepStudy,
         &HybridStudy,
         &ControlStudy,
@@ -752,6 +971,16 @@ mod tests {
         assert_eq!(
             names,
             [
+                "table1",
+                "table2",
+                "fig1_4",
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "crosscheck",
+                "ablation",
+                "landscape",
                 "sweep",
                 "hybrid",
                 "control",
@@ -811,8 +1040,8 @@ mod tests {
         assert_eq!(o.get_f64("rate", 1.0).unwrap(), 2.0);
         assert_eq!(o.get_usize("sessions", 5).unwrap(), 5);
         assert_eq!(
-            o.read_keys(),
-            ["rate", "sessions"],
+            o.unread().as_deref(),
+            Some("sesions"),
             "the typo was never read"
         );
     }

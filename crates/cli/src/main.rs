@@ -30,30 +30,29 @@
 //! sbcast distribution --profile smoke --shards 2        the distributed metro tier: placement
 //!                                                       x peer assist vs the source-once
 //!                                                       bound -> BENCH_distribution.json
+//! sbcast table1 | table2 | fig1_4 | fig5 | fig6 | fig7 | fig8 | crosscheck | ablation | landscape
+//!                                                       the paper's tables and figures
 //! ```
 //!
 //! Scheme names: `SB:W=<w>`, `SB:W=inf`, `PB:a`, `PB:b`, `PPB:a`, `PPB:b`,
 //! `STAG`, or `all`.
 //!
-//! Every study subcommand (`sweep`, `hybrid`, `control`, `resilience`,
-//! `throughput`, `scale`, `scenario`, `recovery`, `frontier`,
-//! `distribution`) dispatches through the [`sb_analysis::study`]
-//! registry — one [`sb_analysis::Study`] per subcommand — behind one
+//! Every study subcommand — the paper's tables and figures and every
+//! study beyond them — dispatches through the [`sb_analysis::study`]
+//! registry, one [`sb_analysis::Study`] per subcommand, behind one
 //! execution-flag parser: `--threads N` sizes the worker pool (must be
 //! ≥ 1; stdout and `--json` output are byte-identical for every N),
-//! `--shards N` picks the scale-out shard count (`scale`, `scenario`,
-//! `recovery`, `frontier` and `distribution` only; also
-//! result-invariant), `--seed` the workload seed, `--json <path>` writes
-//! the structured report, and `--manifest <path>` writes per-stage
-//! wall-clock timings.
+//! `--shards N` picks the scale-out shard count (sharded studies only;
+//! also result-invariant), `--seed` the workload seed, `--json <path>`
+//! writes the structured report, and `--manifest <path>` writes
+//! per-stage wall-clock timings.
 //!
 //! A flag the command never reads is an error, not a silent no-op:
-//! `unknown flag --<key> for <cmd>`.
+//! `unknown flag --<key> for <cmd>`. So is a flag given twice.
 
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 
 use sb_analysis::lineup::{schemes_from, SchemeId};
@@ -68,98 +67,61 @@ use sb_sim::policy::schedule_client;
 use sb_workload::{Catalog, Patience, PoissonArrivals, ZipfPopularity};
 use vod_units::{Mbps, Minutes};
 
-fn usage() -> &'static str {
-    "usage: sbcast <plan|metrics|client|sweep|hybrid|control|resilience|throughput|scale|scenario|recovery|frontier|distribution|series|hetero|pausing> [--key value]...\n\
-     keys: --scheme --bandwidth --arrival --video --from --to --step\n\
-           --titles --popular --rate --rates 1,2,4 --horizon --width --seed\n\
-           --units 1,2,2,5,5 --k 10 --lengths 95,120,150\n\
-           --shift-at --rotate --tick --half-life --hysteresis --ceiling\n\
-           --retry --retry-factor --retry-attempts\n\
-           --patience --fraction --seeds 11,23,47\n\
-           --loss-rates 0.01,0.05 --burst-len 4\n\
-           --outage-channel --outage-start --outage-duration\n\
-           --threads N --shards N --sessions N --videos N --samples N\n\
-           --preset urban|rural|remote|all --profile smoke|paper\n\
-           --flash-at --flash-boost\n\
-           --mode run|sweep --cadence N --kills N\n\
-           --bandwidths 200,320 --catalogs 10,20 --buggy-hb yes\n\
-           --chaos 'kill:1@ckpt:1;kill:0@tick:500;corrupt:1@ckpt:2'\n\
-           --policies full,partitioned,hothead,proportional\n\
-           --backbone N --tail-from N --uplink-fraction F\n\
-           --json PATH --metrics PATH --manifest PATH"
+fn usage() -> String {
+    let studies: Vec<&str> = sb_analysis::study::registry()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    format!(
+        "usage: sbcast <plan|metrics|client|{}|series|hetero|pausing> [--key value]...\n\
+         keys: --scheme --bandwidth --arrival --video --from --to --step\n\
+         --titles --popular --rate --rates 1,2,4 --horizon --width --seed\n\
+         --units 1,2,2,5,5 --k 10 --lengths 95,120,150\n\
+         --shift-at --rotate --tick --half-life --hysteresis --ceiling\n\
+         --retry --retry-factor --retry-attempts\n\
+         --patience --fraction --seeds 11,23,47\n\
+         --loss-rates 0.01,0.05 --burst-len 4\n\
+         --outage-channel --outage-start --outage-duration\n\
+         --threads N --shards N --sessions N --videos N --samples N\n\
+         --preset urban|rural|remote|all --profile smoke|paper\n\
+         --flash-at --flash-boost\n\
+         --mode run|sweep --cadence N --kills N\n\
+         --bandwidths 200,320 --catalogs 10,20 --buggy-hb yes\n\
+         --chaos 'kill:1@ckpt:1;kill:0@tick:500;corrupt:1@ckpt:2'\n\
+         --policies full,partitioned,hothead,proportional\n\
+         --backbone N --tail-from N --uplink-fraction F\n\
+         --json PATH --metrics PATH --manifest PATH",
+        studies.join("|")
+    )
 }
 
-/// The `--key value` flags of one invocation. Every lookup records its
-/// key, so `main` can reject the flags no command read.
-struct Opts {
-    map: HashMap<String, String>,
-    read: RefCell<HashSet<String>>,
+/// Parse the `--key value` flags of one invocation. Every lookup on the
+/// result records its key, so `main` can reject the flags no command
+/// read ([`reject_unread`]); a key given twice is rejected here.
+fn parse_flags(args: &[String]) -> Result<StudyOpts, String> {
+    let mut map = BTreeMap::new();
+    let mut it = args.iter();
+    while let Some(k) = it.next() {
+        let key = k
+            .strip_prefix("--")
+            .ok_or_else(|| format!("expected --key, got `{k}`"))?;
+        let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+        if map.insert(key, v.as_str()).is_some() {
+            return Err(format!("flag --{key} given twice"));
+        }
+    }
+    Ok(StudyOpts::from_pairs(map))
 }
 
-impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut map = HashMap::new();
-        let mut it = args.iter();
-        while let Some(k) = it.next() {
-            let key = k
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --key, got `{k}`"))?;
-            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            map.insert(key.to_string(), v.clone());
-        }
-        Ok(Self {
-            map,
-            read: RefCell::default(),
-        })
-    }
-
-    fn get(&self, key: &str) -> Option<&String> {
-        self.read.borrow_mut().insert(key.to_string());
-        self.map.get(key)
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
-        }
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
-        }
-    }
-
-    fn get_str(&self, key: &str, default: &str) -> String {
-        self.get(key)
-            .map_or_else(|| default.to_string(), String::clone)
-    }
-
-    /// The study-specific flag map a [`Study`] parses its configuration
-    /// from: every `--key value` pair as given (studies ignore the
-    /// execution keys — those arrive through [`StudyCtx`]).
-    fn study_opts(&self) -> StudyOpts {
-        StudyOpts::from_pairs(self.map.iter().map(|(k, v)| (k.clone(), v.clone())))
-    }
-
-    /// Count the keys a study read from [`Opts::study_opts`] as read.
-    fn absorb(&self, study: &StudyOpts) {
-        self.read.borrow_mut().extend(study.read_keys());
-    }
-
-    /// Fail on the first given key (in sorted order) nothing has read.
-    fn reject_unread(&self, cmd: &str) -> Result<(), String> {
-        let read = self.read.borrow();
-        match self.map.keys().filter(|k| !read.contains(*k)).min() {
-            Some(key) => Err(format!("unknown flag --{key} for {cmd}")),
-            None => Ok(()),
-        }
+/// Fail on the first given key (in sorted order) nothing has read.
+fn reject_unread(opts: &StudyOpts, cmd: &str) -> Result<(), String> {
+    match opts.unread() {
+        Some(key) => Err(format!("unknown flag --{key} for {cmd}")),
+        None => Ok(()),
     }
 }
 
-fn cmd_plan(opts: &Opts) -> Result<(), String> {
+fn cmd_plan(opts: &StudyOpts) -> Result<(), String> {
     let b = opts.get_f64("bandwidth", 300.0)?;
     let ids = schemes_from(&opts.get_str("scheme", "SB:W=52"))?;
     let cfg = SystemConfig::paper_defaults(Mbps(b));
@@ -201,7 +163,7 @@ fn cmd_plan(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(opts: &Opts) -> Result<(), String> {
+fn cmd_metrics(opts: &StudyOpts) -> Result<(), String> {
     let b = opts.get_f64("bandwidth", 320.0)?;
     let ids = schemes_from(&opts.get_str("scheme", "all"))?;
     let rows = sb_analysis::tables::evaluate_tables(&ids, &[b]);
@@ -209,7 +171,7 @@ fn cmd_metrics(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_client(opts: &Opts) -> Result<(), String> {
+fn cmd_client(opts: &StudyOpts) -> Result<(), String> {
     let b = opts.get_f64("bandwidth", 300.0)?;
     let arrival = Minutes(opts.get_f64("arrival", 0.0)?);
     let video = VideoId(opts.get_usize("video", 0)?);
@@ -267,7 +229,7 @@ struct CommonArgs {
 }
 
 impl CommonArgs {
-    fn parse(opts: &Opts) -> Result<Self, String> {
+    fn parse(opts: &StudyOpts) -> Result<Self, String> {
         let threads = opts.get_usize("threads", 1)?;
         if threads == 0 {
             return Err("--threads must be at least 1 (got 0)".into());
@@ -287,8 +249,8 @@ impl CommonArgs {
             threads,
             seed,
             shards,
-            json: opts.get("json").cloned(),
-            manifest: opts.get("manifest").cloned(),
+            json: opts.get("json").map(str::to_string),
+            manifest: opts.get("manifest").map(str::to_string),
         })
     }
 
@@ -299,13 +261,18 @@ impl CommonArgs {
 
     /// Studies that are not sharded refuse the scale-out flag instead of
     /// silently ignoring it; the registry's [`Study::sharded`] studies
-    /// (`scale`, `scenario`, `recovery`, `frontier`, `distribution`)
-    /// skip this gate.
+    /// skip this gate, and the message names them.
     fn reject_shards(&self, cmd: &str) -> Result<(), String> {
         if self.shards > 1 {
+            let sharded: Vec<String> = sb_analysis::study::registry()
+                .iter()
+                .filter(|s| s.sharded())
+                .map(|s| format!("`{}`", s.name()))
+                .collect();
+            let (last, rest) = sharded.split_last().expect("a sharded study is registered");
             return Err(format!(
-                "--shards applies only to `scale`, `scenario`, `recovery`, `frontier` and \
-                 `distribution` (got {} for `{cmd}`)",
+                "--shards applies only to {} and {last} (got {} for `{cmd}`)",
+                rest.join(", "),
                 self.shards
             ));
         }
@@ -339,17 +306,15 @@ fn finish_runner(common: &CommonArgs, runner: &Runner) -> Result<(), String> {
 /// Run one registered study: parse the common execution flags, build the
 /// [`StudyCtx`], print the rendered report to stdout, write the JSON
 /// artifact (the registry default or `--json`), honour `--metrics`, and
-/// put wall-clock rates on stderr — exactly the stanza the nine
-/// pre-registry subcommands each hand-rolled.
-fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
+/// put wall-clock rates on stderr.
+fn run_study(study: &'static dyn Study, opts: &StudyOpts) -> Result<(), String> {
     let common = CommonArgs::parse(opts)?;
     if !study.sharded() {
         common.reject_shards(study.name())?;
     }
     let runner = common.runner();
-    let study_opts = opts.study_opts();
     let ctx = StudyCtx {
-        opts: &study_opts,
+        opts,
         shards: common.shards,
         seed: common.seed,
         runner: &runner,
@@ -357,13 +322,12 @@ fn run_study(study: &'static dyn Study, opts: &Opts) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let out = study.run(&ctx)?;
     let wall = t0.elapsed().as_secs_f64();
-    opts.absorb(&study_opts);
     let metrics = out
         .metrics
         .as_ref()
         .and_then(|snapshot| opts.get("metrics").map(|path| (snapshot, path)));
     // Every flag has been read by now: refuse the rest before any output.
-    opts.reject_unread(study.name())?;
+    reject_unread(opts, study.name())?;
     print!("{}", out.rendered);
     match study.artifact() {
         Some(default) => {
@@ -410,12 +374,12 @@ fn study(name: &str) -> &'static dyn Study {
 
 /// The `hybrid` single-server report (the `--rates` study mode
 /// dispatches through the registry instead).
-fn cmd_hybrid(opts: &Opts) -> Result<(), String> {
+fn cmd_hybrid(opts: &StudyOpts) -> Result<(), String> {
     let b = opts.get_f64("bandwidth", 600.0)?;
     let titles = opts.get_usize("titles", 60)?;
     let popular = opts.get_usize("popular", 10)?;
-    let rate = opts.get_f64("rate", 3.0)?;
-    let horizon = opts.get_f64("horizon", 600.0)?;
+    let rate = opts.get_positive("rate", 3.0)?;
+    let horizon = opts.get_positive("horizon", 600.0)?;
     let width = opts.get_usize("width", 52)? as u64;
     let common = CommonArgs::parse(opts)?;
     common.reject_shards("hybrid")?;
@@ -481,7 +445,7 @@ struct RecoveryRunJson {
 /// against a plain `execute`. The `--mode sweep` study half dispatches
 /// through the registry instead. Both are byte-identical across
 /// `--threads` and `--shards`.
-fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
+fn cmd_recovery_run(opts: &StudyOpts) -> Result<(), String> {
     use sb_resilience::{Backoff, CrashScript, Recovered, RunSpec, Supervisor};
     use sb_sim::policy::ClientPolicy;
     use sb_sim::system::{Request, SystemSim};
@@ -493,15 +457,13 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     let bandwidth = Mbps(opts.get_f64("bandwidth", 320.0)?);
     let sessions = opts.get_usize("sessions", 2_000)?;
     let titles = opts.get_usize("titles", 10)?;
-    let horizon = Minutes(opts.get_f64("horizon", 200.0)?);
+    let horizon = Minutes(opts.get_positive("horizon", 200.0)?);
     let cadence = opts.get_usize("cadence", 50)? as u64;
     let seed = common.seed.unwrap_or(17);
     let chaos = CrashScript::parse(&opts.get_str("chaos", "")).map_err(|e| e.to_string())?;
-    let backoff_opts = opts.study_opts();
-    let backoff = sb_analysis::study::parse_backoff(&backoff_opts)?
+    let backoff = sb_analysis::study::parse_backoff(opts)?
         .map_or_else(|| Backoff::new(Minutes(1.0), 2.0, 8), Ok)
         .map_err(|e| e.to_string())?;
-    opts.absorb(&backoff_opts);
 
     let id = SchemeId::parse(&opts.get_str("scheme", "SB:W=52"))
         .ok_or_else(|| format!("unknown scheme `{}`", opts.get_str("scheme", "SB:W=52")))?;
@@ -524,7 +486,7 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
 
     // Up-front validation: an unread flag, a zero cadence or an
     // out-of-range partition is a typed error before anything runs.
-    opts.reject_unread("recovery")?;
+    reject_unread(opts, "recovery")?;
     let run_cfg = RunConfig::new(&requests)
         .shards(common.shards)
         .threads(common.threads)
@@ -619,7 +581,7 @@ fn cmd_recovery_run(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_series(opts: &Opts) -> Result<(), String> {
+fn cmd_series(opts: &StudyOpts) -> Result<(), String> {
     use sb_core::custom::{greedy_max_series, validate_units, PhaseBudget};
     let budget = PhaseBudget::ExhaustiveUpTo(100_000);
     if let Some(spec) = opts.get("units") {
@@ -652,7 +614,7 @@ fn cmd_series(opts: &Opts) -> Result<(), String> {
     }
 }
 
-fn cmd_hetero(opts: &Opts) -> Result<(), String> {
+fn cmd_hetero(opts: &StudyOpts) -> Result<(), String> {
     use sb_core::heterogeneous::{plan_heterogeneous, HeteroVideo};
     let b = opts.get_f64("bandwidth", 300.0)?;
     let width = opts.get_usize("width", 52)? as u64;
@@ -689,7 +651,7 @@ fn cmd_hetero(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_pausing(opts: &Opts) -> Result<(), String> {
+fn cmd_pausing(opts: &StudyOpts) -> Result<(), String> {
     use sb_sim::pausing::schedule_pausing_client;
     let b = opts.get_f64("bandwidth", 320.0)?;
     let arrival = Minutes(opts.get_f64("arrival", 0.0)?);
@@ -736,7 +698,7 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let run = Opts::parse(rest).and_then(|opts| {
+    let run = parse_flags(rest).and_then(|opts| {
         match cmd.as_str() {
             "plan" => cmd_plan(&opts),
             "metrics" => cmd_metrics(&opts),
@@ -757,7 +719,7 @@ fn main() -> ExitCode {
                 None => Err(format!("unknown command `{other}`\n{}", usage())),
             },
         }?;
-        opts.reject_unread(cmd)
+        reject_unread(&opts, cmd)
     });
     match run {
         Ok(()) => ExitCode::SUCCESS,

@@ -380,3 +380,125 @@ fn throughput_writes_json_and_is_thread_count_invariant() {
     assert!(json.contains("churn"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn non_positive_rates_and_horizons_are_typed_errors() {
+    // Each value would reach a workload constructor's assert.
+    for (args, message) in [
+        (
+            &["hybrid", "--rates", "-1"][..],
+            "--rates: must be positive and finite, got `-1`",
+        ),
+        (
+            &["hybrid", "--rates", "0"][..],
+            "--rates: must be positive and finite, got `0`",
+        ),
+        (
+            &["control", "--rate", "0"][..],
+            "--rate: must be positive and finite, got `0`",
+        ),
+        (
+            &["resilience", "--rate", "-2"][..],
+            "--rate: must be positive and finite, got `-2`",
+        ),
+        (
+            &["distribution", "--rate", "-1", "--profile", "smoke"][..],
+            "--rate: must be positive and finite, got `-1`",
+        ),
+        (
+            &["scenario", "--flash-boost", "-1", "--profile", "smoke"][..],
+            "--flash-boost: must be positive and finite, got `-1`",
+        ),
+    ] {
+        let out = sbcast(args);
+        assert_clean_failure(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: got {stderr}");
+    }
+}
+
+#[test]
+fn unbounded_sweep_ranges_are_rejected_promptly() {
+    // Without the point cap, `--to inf` loops forever, and so does a
+    // step too small to move 1e17.
+    for args in [
+        &["sweep", "--to", "inf"][..],
+        &["sweep", "--from", "1e17", "--to", "2e17", "--step", "1"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sbcast"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn sbcast");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while child.try_wait().expect("poll sbcast").is_none() {
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                panic!("{args:?} did not terminate");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect sbcast");
+        assert_clean_failure(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: bad sweep range"),
+            "{args:?}: got {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_repeated_flag_is_rejected() {
+    let out = sbcast(&["metrics", "--bandwidth", "100", "--bandwidth", "320"]);
+    assert_clean_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: flag --bandwidth given twice"),
+        "got: {stderr}"
+    );
+}
+
+#[test]
+fn paper_studies_are_thread_count_invariant() {
+    let dir = std::env::temp_dir().join(format!("sbcast-paper-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for study in [
+        "table1",
+        "table2",
+        "fig1_4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "crosscheck",
+        "ablation",
+        "landscape",
+    ] {
+        let mut outs = Vec::new();
+        for threads in ["1", "2"] {
+            let json = dir.join(format!("{study}-{threads}.json"));
+            let out = sbcast(&[
+                study,
+                "--threads",
+                threads,
+                "--json",
+                json.to_str().unwrap(),
+            ]);
+            assert!(
+                out.status.success(),
+                "`{study}` must run: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            outs.push((out.stdout, std::fs::read(&json).unwrap()));
+        }
+        assert!(!outs[0].0.is_empty(), "`{study}` printed nothing");
+        assert_eq!(
+            outs[0].0, outs[1].0,
+            "`{study}` stdout depends on --threads"
+        );
+        assert_eq!(outs[0].1, outs[1].1, "`{study}` JSON depends on --threads");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

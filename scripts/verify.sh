@@ -5,8 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
-# --workspace: the smokes below invoke target/release/{throughput_bench,
-# scale_bench} directly — a root-package build would leave them stale.
+# --workspace: the smokes below invoke target/release/sbcast directly — a
+# root-package build would leave it stale.
 cargo build --release --workspace
 
 echo "==> cargo test --workspace -q"
@@ -169,11 +169,11 @@ cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke --bugg
     --json "$fr_dir/fr-hb.json" 2>/dev/null > "$fr_dir/fr-hb.out"
 grep -q '"sim_jitter_free": false' "$fr_dir/fr-hb.json"
 
-echo "==> frontier wall-clock artifact (frontier_bench, smoke-sized)"
-./target/release/frontier_bench --sessions 8 --threads 4 --shards 2 \
-    --json "$fr_dir/fr-bench.json" > "$fr_dir/fr-bench.out" 2>/dev/null
-test -s "$fr_dir/fr-bench.json" || { echo "frontier_bench JSON missing"; exit 1; }
-grep -q '"cells"' "$fr_dir/fr-bench.json"
+echo "==> frontier paper grid (8 simulated sessions per cell)"
+./target/release/sbcast frontier --sessions 8 --threads 4 --shards 2 \
+    --json "$fr_dir/fr-paper.json" > "$fr_dir/fr-paper.out" 2>/dev/null
+test -s "$fr_dir/fr-paper.json" || { echo "frontier JSON missing"; exit 1; }
+grep -q '"cells"' "$fr_dir/fr-paper.json"
 
 echo "==> distribution smoke (distributed tier, 4-way over --shards x --threads)"
 # The distributed-tier artifact must be byte-identical — JSON and stdout —
@@ -201,42 +201,29 @@ for policy in full partitioned hothead proportional; do
     grep -q "^$policy" "$dist_dir/dist-1-1.out"
 done
 
-echo "==> distribution wall-clock artifact (distribution_bench, default artifact name)"
-dist_bench="$PWD/target/release/distribution_bench"
-(cd "$dist_dir" && "$dist_bench" --threads 4 --shards 2 > dist-bench.out 2>/dev/null)
+echo "==> distribution paper profile (default artifact name)"
+sbcast_bin="$PWD/target/release/sbcast"
+(cd "$dist_dir" && "$sbcast_bin" distribution --threads 4 --shards 2 > dist-paper.out 2>/dev/null)
 test -s "$dist_dir/BENCH_distribution.json" || { echo "BENCH_distribution.json missing"; exit 1; }
-test -s "$dist_dir/BENCH_wallclock.json" || { echo "distribution wallclock missing"; exit 1; }
-grep -q '"distribution_bench"' "$dist_dir/BENCH_wallclock.json"
 
 echo "==> release profile keeps integer overflow checks on"
 grep -A2 '^\[profile\.release\]' Cargo.toml | grep -q 'overflow-checks = true'
 
-echo "==> wall-clock trajectory (throughput_bench timed pass)"
-./target/release/throughput_bench --json "$thr_dir/thr-bench.json" \
-    > "$thr_dir/thr-bench.out" 2>"$thr_dir/thr-bench.err"
-# BENCH_wallclock.json is nondeterministic by design (wall seconds): it
-# is checked for shape, never diffed — keep it OUT of the byte-identity
-# smokes above.
-wallclock="$thr_dir/BENCH_wallclock.json"
-test -s "$wallclock" || { echo "BENCH_wallclock.json missing"; exit 1; }
-for field in '"throughput_bench"' '"sessions_per_sec"' '"events_per_sec"' '"wall_secs"'; do
-    grep -q "$field" "$wallclock" || { echo "BENCH_wallclock.json lacks $field"; exit 1; }
-done
+echo "==> throughput release run (default size)"
+./target/release/sbcast throughput --json "$thr_dir/thr-paper.json" \
+    > "$thr_dir/thr-paper.out" 2>/dev/null
+grep -q '"peak_agenda"' "$thr_dir/thr-paper.json"
 
 echo "==> scale release smoke (>= 10M streamed sessions)"
 # 2.2M-session grid: 4 cells + the flagship pass = 11M streamed sessions.
-./target/release/scale_bench --shards 4 --threads 4 --sessions 2200000 \
+./target/release/sbcast scale --sessions 2200000 --shards 4 --threads 4 \
     --json "$scale_dir/scale-full.json" > "$scale_dir/scale-full.out" 2>/dev/null
 grep -q '"total_sessions": 2200000' "$scale_dir/scale-full.json"
-test -s "$scale_dir/BENCH_wallclock.json" || { echo "scale wallclock missing"; exit 1; }
-grep -q '"scale_bench"' "$scale_dir/BENCH_wallclock.json"
 
-echo "==> scenario wall-clock artifact (scenario_bench, paper grid)"
-./target/release/scenario_bench --shards 2 --threads 4 \
-    --json "$scn_dir/scn-bench.json" > "$scn_dir/scn-bench.out" 2>/dev/null
-test -s "$scn_dir/BENCH_wallclock.json" || { echo "scenario wallclock missing"; exit 1; }
-grep -q '"scenario_bench"' "$scn_dir/BENCH_wallclock.json"
-grep -q '"flash"' "$scn_dir/scn-bench.json"
+echo "==> scenario paper grid"
+./target/release/sbcast scenario --shards 2 --threads 4 \
+    --json "$scn_dir/scn-paper.json" > "$scn_dir/scn-paper.out" 2>/dev/null
+grep -q '"flash"' "$scn_dir/scn-paper.json"
 
 echo "==> criterion benches compile against the vendored deps"
 cargo bench -p sb-bench --no-run -q
@@ -249,7 +236,7 @@ grep -q 'COMPACT_FLOOR' DESIGN.md
 grep -q 'sbcast -- scale' README.md
 grep -q 'BENCH_scale.json' README.md
 grep -q 'unknown flag' README.md
-grep -q 'BENCH_wallclock.json' README.md
+grep -q 'sbcast -- table1' README.md
 grep -q '^## 13\. The metropolitan scenario pack' DESIGN.md
 grep -q 'scenario_invariance' DESIGN.md
 grep -q 'region_slots' DESIGN.md
