@@ -132,6 +132,18 @@ impl StudyOpts {
     /// # Errors
     /// `--{key}: bad integer `{v}`` when the value does not parse.
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.get_int(key, default)
+    }
+
+    /// `--{key}` as a `u64` (a seed), or `default` when absent.
+    ///
+    /// # Errors
+    /// `--{key}: bad integer `{v}`` when the value does not parse.
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.get_int(key, default)
+    }
+
+    fn get_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
@@ -146,15 +158,14 @@ impl StudyOpts {
 }
 
 /// Everything a [`Study`] receives from its caller: the flag map plus
-/// the execution knobs the common `--threads` / `--shards` / `--seed`
-/// parser already validated.
+/// the execution knobs the common `--threads` / `--shards` parser
+/// already validated. A study that takes a workload seed reads `--seed`
+/// from `opts` itself, so the others refuse it as an unread flag.
 pub struct StudyCtx<'a> {
     /// Study-specific flags (never the execution knobs).
     pub opts: &'a StudyOpts,
     /// Shard count for sharded studies (validated ≥ 1; 1 otherwise).
     pub shards: usize,
-    /// `--seed`, when given; each study applies its own default.
-    pub seed: Option<u64>,
     /// The worker pool.
     pub runner: &'a Runner,
 }
@@ -303,7 +314,7 @@ impl Study for SweepStudy {
         let to = o.get_f64("to", 600.0)?;
         let step = o.get_f64("step", 20.0)?;
         let samples = o.get_usize("samples", 24)?;
-        let seed = ctx.seed.unwrap_or(0);
+        let seed = o.get_u64("seed", 0)?;
         let ids = schemes_from(&o.get_str("scheme", "all"))?;
         let bandwidths = bandwidth_range(from, to, step)
             .ok_or_else(|| format!("bad sweep range: from {from} to {to} step {step}"))?;
@@ -377,7 +388,7 @@ impl Study for HybridStudy {
             broadcast_fraction: 0.5,
             horizon: Minutes(horizon),
             mean_patience: Minutes(8.0),
-            seed: ctx.seed.unwrap_or(42),
+            seed: o.get_u64("seed", 42)?,
         };
         let points = hybrid_study::throughput_study_with(cfg, &rates, ctx.runner);
         let mut rendered = format!(
@@ -505,7 +516,7 @@ impl Study for ThroughputStudy {
         cfg.sessions = o.get_usize("samples", cfg.sessions)?;
         cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.churn_cancels = o.get_usize("churn-cancels", cfg.churn_cancels as usize)? as u64;
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) = throughput_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
         let churn_events = report.churn.engine.fired + report.churn.engine.cancelled;
         let (sessions, events) = (
@@ -541,7 +552,7 @@ impl Study for ScaleStudy {
         cfg.sessions = o.get_usize("sessions", cfg.sessions)?;
         cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.videos = o.get_usize("videos", cfg.videos)?;
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) =
             scale_study(&cfg, ctx.shards, ctx.runner).map_err(|e| e.to_string())?;
         // One pass per grid cell plus the flagship: the wall-rate
@@ -592,7 +603,7 @@ impl Study for ScenarioStudy {
         cfg.flash_rate_boost = o.get_positive("flash-boost", cfg.flash_rate_boost)?;
         cfg.outage_start = Minutes(o.get_f64("outage-start", cfg.outage_start.value())?);
         cfg.outage_duration = Minutes(o.get_f64("outage-duration", cfg.outage_duration.value())?);
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) =
             scenario_study(&cfg, ctx.shards, ctx.runner).map_err(|e| e.to_string())?;
         let (sessions, events) = (report.total_sessions, report.total_events_fired);
@@ -644,7 +655,7 @@ impl Study for RecoveryStudy {
         cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.videos = o.get_usize("titles", cfg.videos)?;
         cfg.kills = o.get_usize("kills", cfg.kills)?;
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         if ctx.shards > 1 {
             cfg.shards = ctx.shards;
         }
@@ -686,7 +697,7 @@ impl Study for FrontierStudy {
         cfg.sessions = o.get_usize("sessions", cfg.sessions)?;
         cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
         cfg.include_buggy_hb = o.get_str("buggy-hb", "no") != "no";
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         let report = frontier_report(&cfg, ctx.shards, ctx.runner);
         StudyOutput::of(render_frontier(&report), &report)
     }
@@ -739,7 +750,7 @@ impl Study for DistributionStudy {
         cfg.backbone_mbps = o.get_f64("backbone", cfg.backbone_mbps)?;
         cfg.tail_from = o.get_usize("tail-from", cfg.tail_from)?;
         cfg.uplink_fraction = o.get_f64("uplink-fraction", cfg.uplink_fraction)?;
-        cfg.seed = ctx.seed.unwrap_or(cfg.seed);
+        cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) =
             distribution_study(&cfg, ctx.shards, ctx.runner).map_err(|e| e.to_string())?;
         let (sessions, events) = (report.total_sessions, report.total_events_fired);
@@ -1059,7 +1070,6 @@ mod tests {
         let ctx = StudyCtx {
             opts: &opts,
             shards: 1,
-            seed: None,
             runner: &runner,
         };
         let out = find("sweep").unwrap().run(&ctx).unwrap();
@@ -1076,7 +1086,6 @@ mod tests {
         let ctx = StudyCtx {
             opts: &opts,
             shards: 1,
-            seed: None,
             runner: &runner,
         };
         let err = find("hybrid").unwrap().run(&ctx).unwrap_err();

@@ -43,9 +43,9 @@
 //! execution-flag parser: `--threads N` sizes the worker pool (must be
 //! ≥ 1; stdout and `--json` output are byte-identical for every N),
 //! `--shards N` picks the scale-out shard count (sharded studies only;
-//! also result-invariant), `--seed` the workload seed, `--json <path>`
-//! writes the structured report, and `--manifest <path>` writes
-//! per-stage wall-clock timings.
+//! also result-invariant), `--json <path>` writes the structured
+//! report, and `--manifest <path>` writes per-stage wall-clock timings.
+//! Commands with a seeded workload also take `--seed`.
 //!
 //! A flag the command never reads is an error, not a silent no-op:
 //! `unknown flag --<key> for <cmd>`. So is a flag given twice.
@@ -212,14 +212,13 @@ fn cmd_client(opts: &StudyOpts) -> Result<(), String> {
 }
 
 /// The execution flags every study subcommand shares — `--threads`,
-/// `--seed`, `--shards`, `--json`, `--manifest` — parsed and
-/// validated by one routine so every registered study rejects bad
-/// values with identical messages.
+/// `--shards`, `--json`, `--manifest` — parsed and validated by one
+/// routine so every registered study rejects bad values with identical
+/// messages. `--seed` is not among them: only the commands with a
+/// seeded workload read it.
 struct CommonArgs {
     /// Worker-pool size (validated ≥ 1; results never depend on it).
     threads: usize,
-    /// `--seed`, when given (each study applies its own default).
-    seed: Option<u64>,
     /// Shard count (validated ≥ 1; only the sharded studies accept > 1).
     shards: usize,
     /// `--json <path>`: where to write the structured report.
@@ -238,16 +237,8 @@ impl CommonArgs {
         if shards == 0 {
             return Err("--shards must be at least 1 (got 0)".into());
         }
-        let seed = match opts.get("seed") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("--seed: bad integer `{v}`"))?,
-            ),
-        };
         Ok(Self {
             threads,
-            seed,
             shards,
             json: opts.get("json").map(str::to_string),
             manifest: opts.get("manifest").map(str::to_string),
@@ -316,7 +307,6 @@ fn run_study(study: &'static dyn Study, opts: &StudyOpts) -> Result<(), String> 
     let ctx = StudyCtx {
         opts,
         shards: common.shards,
-        seed: common.seed,
         runner: &runner,
     };
     let t0 = std::time::Instant::now();
@@ -383,7 +373,7 @@ fn cmd_hybrid(opts: &StudyOpts) -> Result<(), String> {
     let width = opts.get_usize("width", 52)? as u64;
     let common = CommonArgs::parse(opts)?;
     common.reject_shards("hybrid")?;
-    let seed = common.seed.unwrap_or(42);
+    let seed = opts.get_u64("seed", 42)?;
     let catalog = Catalog::paper_defaults(titles);
     let requests = PoissonArrivals::new(rate, seed)
         .with_patience(Patience::Exponential(Minutes(8.0)))
@@ -459,7 +449,7 @@ fn cmd_recovery_run(opts: &StudyOpts) -> Result<(), String> {
     let titles = opts.get_usize("titles", 10)?;
     let horizon = Minutes(opts.get_positive("horizon", 200.0)?);
     let cadence = opts.get_usize("cadence", 50)? as u64;
-    let seed = common.seed.unwrap_or(17);
+    let seed = opts.get_u64("seed", 17)?;
     let chaos = CrashScript::parse(&opts.get_str("chaos", "")).map_err(|e| e.to_string())?;
     let backoff = sb_analysis::study::parse_backoff(opts)?
         .map_or_else(|| Backoff::new(Minutes(1.0), 2.0, 8), Ok)
@@ -484,15 +474,13 @@ fn cmd_recovery_run(opts: &StudyOpts) -> Result<(), String> {
     })
     .collect();
 
-    // Up-front validation: an unread flag, a zero cadence or an
-    // out-of-range partition is a typed error before anything runs.
+    // Up-front validation: an unread flag or a zero cadence is a typed
+    // error before anything runs.
     reject_unread(opts, "recovery")?;
     let run_cfg = RunConfig::new(&requests)
         .shards(common.shards)
         .threads(common.threads)
-        .seed(seed)
-        .checkpoint_every(cadence);
-    run_cfg.validate().map_err(|e| e.to_string())?;
+        .seed(seed);
     let supervisor = Supervisor::new(backoff, cadence).map_err(|e| e.to_string())?;
 
     let sim = SystemSim::new(&plan, sys.display_rate, ClientPolicy::LatestFeasible);

@@ -77,14 +77,23 @@ fn the_retired_agenda_flag_is_rejected() {
 }
 
 #[test]
-fn a_misspelt_flag_is_rejected() {
-    let out = sbcast(&["plan", "--bandwith", "300"]);
-    assert_clean_failure(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error: unknown flag --bandwith for plan"),
-        "got: {stderr}"
-    );
+fn a_misspelt_or_unused_flag_is_rejected() {
+    // A typo, and a seed handed to a study whose workload takes none.
+    for (args, msg) in [
+        (
+            &["plan", "--bandwith", "300"][..],
+            "unknown flag --bandwith for plan",
+        ),
+        (
+            &["control", "--seed", "5"][..],
+            "unknown flag --seed for control",
+        ),
+    ] {
+        let out = sbcast(args);
+        assert_clean_failure(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("error: {msg}")), "got: {stderr}");
+    }
 }
 
 #[test]
@@ -246,7 +255,7 @@ fn scale_is_shard_and_thread_count_invariant() {
 
 #[test]
 fn recovery_rejects_bad_configs_with_typed_errors() {
-    // A zero checkpoint cadence: caught by RunConfig::validate up front.
+    // A zero checkpoint cadence: caught by Supervisor::new up front.
     let out = sbcast(&["recovery", "--cadence", "0"]);
     assert_clean_failure(&out);
     assert!(

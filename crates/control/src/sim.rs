@@ -865,16 +865,15 @@ impl ControlledSim {
     /// count.
     ///
     /// Slot semantics: the `recorder` slot receives the per-shard metric
-    /// streams replayed in shard order; the `sink` and `checkpoint_every`
-    /// slots are rejected (the control plane produces no session traces
-    /// and cannot checkpoint); the `faults` slot
+    /// streams replayed in shard order; the `sink` slot is rejected (the
+    /// control plane produces no session traces); the `faults` slot
     /// carries a [`ControlFaults`] bundle — outages are routed to the
     /// owning shard, restarts and churn waves reach every shard, and
     /// burst-loss episodes apply to each shard's local slot indices.
     ///
     /// # Errors
-    /// [`SchemeError::InvalidConfig`] on a `sink` or `checkpoint_every`
-    /// slot, an invalid fault script, an outage naming a missing slot, or
+    /// [`SchemeError::InvalidConfig`] on a `sink` slot, an invalid fault
+    /// script, an outage naming a missing slot, or
     /// `shards` exceeding `hot_slots`;
     /// sizing errors if a shard's bandwidth share cannot sustain its
     /// broadcast half plus a non-empty pool.
@@ -892,16 +891,10 @@ impl ControlledSim {
             threads,
             seed,
             partition,
-            checkpoint_every,
         } = cfg.into_parts();
         if sink.is_some() {
             return Err(SchemeError::InvalidConfig {
                 what: "sink slot: the control plane produces no session traces",
-            });
-        }
-        if checkpoint_every.is_some() {
-            return Err(SchemeError::InvalidConfig {
-                what: "checkpoint_every slot: controlled runs cannot checkpoint",
             });
         }
         let quiet = FaultScript::none();
@@ -1567,22 +1560,6 @@ mod tests {
             .unwrap_err();
         assert!(
             matches!(err, SchemeError::InvalidConfig { what } if what.starts_with("sink slot")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn a_checkpoint_slot_is_rejected_not_ignored() {
-        let sim = sim(300.0);
-        let reqs = shifted_workload(40, 4.0, 100.0, 50.0, 10, 3);
-        let err = sim
-            .execute(
-                ControlPolicy::Dynamic,
-                RunConfig::new(&reqs).shards(2).checkpoint_every(10),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, SchemeError::InvalidConfig { what } if what.starts_with("checkpoint_every slot")),
             "{err:?}"
         );
     }

@@ -1,15 +1,16 @@
 //! Deterministic checkpoint/restore for shard execution.
 //!
-//! A checkpoint is a complete still image of one shard's mid-run state:
-//! the engine ([`crate::engine::FrozenEngine`] — clock, FIFO counter,
-//! stats, pending agenda in canonical order), the report accumulators
-//! ([`crate::system`]'s `CoreState`), the streaming fold
-//! ([`crate::sink::FoldState`]), the captured per-session scalars the
-//! sharded merge replays, and the metrics registry snapshot. Restoring
-//! one and running to completion produces **bitwise identical** artifacts
-//! to the uninterrupted run, because every accumulator resumes with its
-//! exact bit pattern and every remaining event fires in the same
-//! `(tick, seq)` order (see `DESIGN.md` §14 for the full argument).
+//! A checkpoint is a complete still image of one shard's mid-run state,
+//! each fact stored once: the engine ([`crate::engine::FrozenEngine`] —
+//! clock, FIFO counter, stats, pending agenda in canonical order), the
+//! active and peak-active session counts ([`crate::system`]'s
+//! `CoreState`), the captured per-session scalars the merge folds (their
+//! count is the sessions served), and the metrics registry snapshot.
+//! Restoring one and running to completion produces **bitwise
+//! identical** artifacts to the uninterrupted run, because every value
+//! resumes with its exact bit pattern and every remaining event fires in
+//! the same `(tick, seq)` order (see `DESIGN.md` §14 for the full
+//! argument).
 //!
 //! ## Wire format
 //!
@@ -35,17 +36,17 @@
 use sb_metrics::{
     FamilySnapshot, HistogramValue, MetricKind, MetricValue, SeriesSnapshot, Snapshot,
 };
-use vod_units::{Mbits, Minutes, Ticks};
+use vod_units::Ticks;
 
 use crate::agenda::AgendaKind;
 use crate::engine::{EngineStats, FrozenEngine};
 use crate::policy::PolicyError;
 use crate::shard::{SessionScalars, ShardSlice};
-use crate::sink::FoldState;
-use crate::system::{CoreState, Ev, SystemSim};
+use crate::sink::NullSink;
+use crate::system::{Checkpoints, CoreState, Ev, SystemSim};
 
 /// Format version written (and the only one accepted) by this build.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// Header magic.
 const MAGIC: &str = "SBCKPT";
@@ -59,17 +60,15 @@ const MAGIC: &str = "SBCKPT";
 pub struct CheckpointState {
     pub(crate) frozen: FrozenEngine<Ev>,
     pub(crate) core: CoreState,
-    pub(crate) fold: FoldState,
     pub(crate) scalars: Vec<SessionScalars>,
     pub(crate) snapshot: Snapshot,
-    pub(crate) sessions_done: u64,
 }
 
 impl CheckpointState {
     /// Sessions the shard had served when this checkpoint was taken.
     #[must_use]
     pub fn sessions_done(&self) -> u64 {
-        self.sessions_done
+        self.scalars.len() as u64
     }
 }
 
@@ -203,7 +202,6 @@ impl std::error::Error for ShardCrash {}
 /// index and must only be recombined by the canonical ordered-replay
 /// merge.
 pub struct ShardRun {
-    pub(crate) report: crate::system::SystemReport,
     pub(crate) stats: EngineStats,
     pub(crate) scalars: Vec<SessionScalars>,
     pub(crate) snapshot: Snapshot,
@@ -220,7 +218,7 @@ impl ShardRun {
     /// Sessions this shard served.
     #[must_use]
     pub fn sessions(&self) -> usize {
-        self.report.sessions
+        self.scalars.len()
     }
 }
 
@@ -242,8 +240,8 @@ impl SystemSim<'_> {
     /// [`ShardCrash::Policy`] for deterministic simulation errors.
     ///
     /// # Panics
-    /// Panics if `checkpoint_every` is zero — `RunConfig::validate`
-    /// rejects that cadence before any shard runs.
+    /// Panics if `checkpoint_every` is zero — `Supervisor::new` rejects
+    /// that cadence before any shard runs.
     pub fn run_shard(
         &self,
         slice: &ShardSlice,
@@ -252,7 +250,8 @@ impl SystemSim<'_> {
         resume: Option<&[u8]>,
         probe: &mut dyn FnMut(Probe<'_>) -> Verdict,
     ) -> Result<ShardRun, ShardCrash> {
-        let resume_state = match resume {
+        assert!(checkpoint_every > 0, "validated by the supervisor");
+        let resume = match resume {
             Some(bytes) => {
                 let cp = decode_state(bytes).map_err(ShardCrash::Corrupt)?;
                 check_fits(&cp, slice.len()).map_err(ShardCrash::Corrupt)?;
@@ -260,14 +259,31 @@ impl SystemSim<'_> {
             }
             None => None,
         };
-        let out =
-            self.run_core_checkpointed(slice.requests(), checkpoint_every, resume_state, probe)?;
+        let checkpoints = Checkpoints {
+            every: checkpoint_every,
+            probe,
+            resume,
+        };
+        self.run_slice(slice, None, &mut NullSink, Some(checkpoints))
+    }
+
+    /// Run one shard slice through the event loop with scalar capture and
+    /// re-key the captured scalars by global request index: the
+    /// [`ShardRun`] both `execute`'s sharded path and [`SystemSim::run_shard`]
+    /// hand to the merge.
+    pub(crate) fn run_slice(
+        &self,
+        slice: &ShardSlice,
+        rec: Option<&mut dyn sb_metrics::Recorder>,
+        sink: &mut dyn crate::sink::TraceSink,
+        checkpoints: Option<Checkpoints<'_>>,
+    ) -> Result<ShardRun, ShardCrash> {
+        let out = self.run_core(slice.requests(), true, rec, sink, checkpoints)?;
         let mut scalars = out.scalars;
         for sc in &mut scalars {
             sc.idx = slice.global_idx()[sc.idx];
         }
         Ok(ShardRun {
-            report: out.report,
             stats: out.stats,
             scalars,
             snapshot: out.snapshot,
@@ -423,10 +439,7 @@ fn encode_snapshot(snap: &Snapshot) -> serde::Value {
 
 /// Serialize a checkpoint to its wire form (header + payload).
 pub(crate) fn encode_state(cp: &CheckpointState) -> Vec<u8> {
-    let core = &cp.core;
-    let fold = &cp.fold;
     let payload_value = obj(vec![
-        ("sessions_done", uint(cp.sessions_done)),
         (
             "engine",
             obj(vec![
@@ -450,30 +463,8 @@ pub(crate) fn encode_state(cp: &CheckpointState) -> Vec<u8> {
         (
             "core",
             obj(vec![
-                ("sessions", uint(core.sessions as u64)),
-                ("latency_sum", bits(core.latency_sum)),
-                ("latencies", bits_arr(&core.latencies)),
-                ("worst_latency", bits(core.worst_latency.value())),
-                ("worst_buffer", bits(core.worst_buffer.value())),
-                ("active", uint(core.active as u64)),
-                ("peak_active", uint(core.peak_active as u64)),
-                ("delivered", bits(core.delivered)),
-            ]),
-        ),
-        (
-            "fold",
-            obj(vec![
-                ("sessions", uint(fold.sessions as u64)),
-                ("latency_sum", bits(fold.latency_sum)),
-                ("latencies", bits_arr(&fold.latencies)),
-                ("worst_latency", bits(fold.worst_latency)),
-                ("worst_buffer", bits(fold.worst_buffer)),
-                ("total_received", bits(fold.total_received)),
-                ("delivered", bits(fold.delivered)),
-                ("max_streams", uint(fold.max_streams as u64)),
-                ("stall_minutes", bits(fold.stall_minutes)),
-                ("stalls", uint(fold.stalls as u64)),
-                ("truncated_sessions", uint(fold.truncated_sessions as u64)),
+                ("active", uint(cp.core.active as u64)),
+                ("peak_active", uint(cp.core.peak_active as u64)),
             ]),
         ),
         (
@@ -698,41 +689,8 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
 
     let co = want_obj(serde::field(root, "core"), "core")?;
     let core = CoreState {
-        sessions: want_usize(serde::field(co, "sessions"), "core.sessions")?,
-        latency_sum: want_bits(serde::field(co, "latency_sum"), "core.latency_sum")?,
-        latencies: want_bits_arr(serde::field(co, "latencies"), "core.latencies")?,
-        worst_latency: Minutes(want_bits(
-            serde::field(co, "worst_latency"),
-            "core.worst_latency",
-        )?),
-        worst_buffer: Mbits(want_bits(
-            serde::field(co, "worst_buffer"),
-            "core.worst_buffer",
-        )?),
         active: want_usize(serde::field(co, "active"), "core.active")?,
         peak_active: want_usize(serde::field(co, "peak_active"), "core.peak_active")?,
-        delivered: want_bits(serde::field(co, "delivered"), "core.delivered")?,
-        // Checkpoints are only ever taken on the error-free path: a
-        // policy error aborts the attempt before the next cadence point.
-        error: None,
-    };
-
-    let fo = want_obj(serde::field(root, "fold"), "fold")?;
-    let fold = FoldState {
-        sessions: want_usize(serde::field(fo, "sessions"), "fold.sessions")?,
-        latency_sum: want_bits(serde::field(fo, "latency_sum"), "fold.latency_sum")?,
-        latencies: want_bits_arr(serde::field(fo, "latencies"), "fold.latencies")?,
-        worst_latency: want_bits(serde::field(fo, "worst_latency"), "fold.worst_latency")?,
-        worst_buffer: want_bits(serde::field(fo, "worst_buffer"), "fold.worst_buffer")?,
-        total_received: want_bits(serde::field(fo, "total_received"), "fold.total_received")?,
-        delivered: want_bits(serde::field(fo, "delivered"), "fold.delivered")?,
-        max_streams: want_usize(serde::field(fo, "max_streams"), "fold.max_streams")?,
-        stall_minutes: want_bits(serde::field(fo, "stall_minutes"), "fold.stall_minutes")?,
-        stalls: want_usize(serde::field(fo, "stalls"), "fold.stalls")?,
-        truncated_sessions: want_usize(
-            serde::field(fo, "truncated_sessions"),
-            "fold.truncated_sessions",
-        )?,
     };
 
     let mut scalars = Vec::new();
@@ -758,10 +716,8 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
     Ok(CheckpointState {
         frozen,
         core,
-        fold,
         scalars,
         snapshot: decode_snapshot(serde::field(root, "snapshot"))?,
-        sessions_done: want_u64(serde::field(root, "sessions_done"), "sessions_done")?,
     })
 }
 
@@ -775,34 +731,29 @@ mod tests {
         eng.schedule_at(Ticks(3), Ev::Arrive(7));
         eng.schedule_at(Ticks(9), Ev::Finish);
         let _ = eng.next();
-        let mut core = CoreState::new();
-        core.sessions = 1;
-        core.latency_sum = -0.0; // the printer-hostile cases
-        core.latencies = vec![0.1 + 0.2, f64::MIN_POSITIVE];
-        core.worst_latency = Minutes(1.5e-300);
-        core.delivered = 119.999_999_999_999_99;
         let mut reg = Registry::new();
         reg.incr("n", &[("video", "3")], 2);
         reg.observe("lat", &[], 0.30000000000000004);
         reg.gauge_max("peak", &[], -0.0);
-        let mut fold = crate::sink::StreamingFold::new();
-        fold.fold_scalars(0.1, 2.0, 3.0, 4.0, 5);
         CheckpointState {
             frozen: eng.freeze(),
-            core,
-            fold: fold.freeze(),
+            core: CoreState {
+                active: 1,
+                peak_active: 3,
+            },
+            // The printer-hostile cases: -0.0, a sum that prints long,
+            // a subnormal-adjacent value.
             scalars: vec![SessionScalars {
                 tick: 11,
                 idx: 7,
                 end_tick: 22,
-                latency: 0.1,
+                latency: 0.1 + 0.2,
                 peak_buffer: -0.0,
-                total_received: 3.5,
-                delivered: 4.25,
+                total_received: f64::MIN_POSITIVE,
+                delivered: 119.999_999_999_999_99,
                 max_streams: 2,
             }],
             snapshot: reg.snapshot(),
-            sessions_done: 1,
         }
     }
 
@@ -811,22 +762,23 @@ mod tests {
         let cp = sample_state();
         let bytes = encode_state(&cp);
         let back = decode_state(&bytes).unwrap();
-        assert_eq!(back.sessions_done, 1);
+        assert_eq!(back.sessions_done(), 1);
         assert_eq!(back.frozen.now, cp.frozen.now);
         assert_eq!(back.frozen.seq, cp.frozen.seq);
         assert_eq!(back.frozen.stats, cp.frozen.stats);
         assert_eq!(back.frozen.entries, cp.frozen.entries);
+        assert_eq!(
+            (back.core.active, back.core.peak_active),
+            (cp.core.active, cp.core.peak_active)
+        );
         // Bit patterns, not just values: -0.0 and friends must survive.
-        assert_eq!(
-            back.core.latency_sum.to_bits(),
-            cp.core.latency_sum.to_bits()
-        );
-        assert_eq!(back.core.latencies, cp.core.latencies);
-        assert_eq!(
-            back.core.worst_latency.value().to_bits(),
-            cp.core.worst_latency.value().to_bits()
-        );
-        assert_eq!(back.fold, cp.fold);
+        for (a, b) in [
+            (back.scalars[0].latency, cp.scalars[0].latency),
+            (back.scalars[0].total_received, cp.scalars[0].total_received),
+            (back.scalars[0].delivered, cp.scalars[0].delivered),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         assert_eq!(back.snapshot, cp.snapshot);
         assert_eq!(
             back.scalars[0].peak_buffer.to_bits(),
@@ -861,13 +813,15 @@ mod tests {
             decode_state(&bad_magic),
             Err(CheckpointError::BadHeader(_))
         ));
-        // Future version → unsupported.
-        let mut future = bytes.clone();
-        future[7] = b'9';
-        assert_eq!(
-            decode_state(&future).unwrap_err(),
-            CheckpointError::UnsupportedVersion(9)
-        );
+        // A past or future version → unsupported.
+        for (digit, version) in [(b'1', 1), (b'9', 9)] {
+            let mut other = bytes.clone();
+            other[7] = digit;
+            assert_eq!(
+                decode_state(&other).unwrap_err(),
+                CheckpointError::UnsupportedVersion(version)
+            );
+        }
         // No newline at all.
         assert!(matches!(
             decode_state(b"SBCKPT"),
@@ -875,8 +829,12 @@ mod tests {
         ));
         // Checksum-valid garbage payload → malformed, not a panic.
         let garbage = b"[1,2,3]";
-        let mut forged =
-            format!("SBCKPT 1 {:016x} {}\n", fnv1a64(garbage), garbage.len()).into_bytes();
+        let mut forged = format!(
+            "SBCKPT {VERSION} {:016x} {}\n",
+            fnv1a64(garbage),
+            garbage.len()
+        )
+        .into_bytes();
         forged.extend_from_slice(garbage);
         assert!(matches!(
             decode_state(&forged),

@@ -46,7 +46,6 @@ pub struct RunConfig<'a, R, F = ()> {
     threads: usize,
     seed: u64,
     partition: Option<&'a [usize]>,
-    checkpoint_every: Option<u64>,
 }
 
 impl<'a, R> RunConfig<'a, R> {
@@ -63,14 +62,13 @@ impl<'a, R> RunConfig<'a, R> {
             threads: 1,
             seed: 0,
             partition: None,
-            checkpoint_every: None,
         }
     }
 }
 
 /// A [`RunConfig`] rejected up front by [`RunConfig::validate`] — the
-/// typed version of mistakes that would otherwise surface as silent
-/// wraps, panics, or dead knobs deep inside a run.
+/// typed version of a mistake that would otherwise surface as a silent
+/// wrap deep inside a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The partition table names an owning shard outside `0..shards`.
@@ -88,8 +86,6 @@ pub enum ConfigError {
         /// The run's shard count.
         shards: usize,
     },
-    /// `checkpoint_every(0)` — a cadence of zero checkpoints nothing.
-    ZeroCheckpointCadence,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -103,11 +99,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "partition table maps video {video} to shard {owner}, but the run has only \
                  {shards} shard(s) (owners must lie in 0..{shards})"
-            ),
-            ConfigError::ZeroCheckpointCadence => write!(
-                f,
-                "checkpoint cadence is 0 sessions; use a cadence of at least 1, \
-                 or omit checkpointing entirely"
             ),
         }
     }
@@ -154,7 +145,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
             threads: self.threads,
             seed: self.seed,
             partition: self.partition,
-            checkpoint_every: self.checkpoint_every,
         }
     }
 
@@ -200,17 +190,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         self
     }
 
-    /// Checkpoint each shard every `sessions` served sessions (default:
-    /// never). Only supervised executors (`sb-resilience`'s recovery
-    /// supervisor) act on this; `SystemSim::execute` ignores it and
-    /// `ControlledSim::execute` rejects it. A cadence of zero is rejected
-    /// by [`RunConfig::validate`].
-    #[must_use]
-    pub fn checkpoint_every(mut self, sessions: u64) -> Self {
-        self.checkpoint_every = Some(sessions);
-        self
-    }
-
     /// Validate the knob combination up front, before any shard runs.
     ///
     /// Opt-in strictness for supervised/CLI entry points: the base
@@ -219,12 +198,8 @@ impl<'a, R, F> RunConfig<'a, R, F> {
     ///
     /// # Errors
     /// [`ConfigError::PartitionOutOfRange`] if the partition table names
-    /// an owner `>= shards`; [`ConfigError::ZeroCheckpointCadence`] for
-    /// `checkpoint_every(0)`.
+    /// an owner `>= shards`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.checkpoint_every == Some(0) {
-            return Err(ConfigError::ZeroCheckpointCadence);
-        }
         if let Some(map) = self.partition {
             for (video, &owner) in map.iter().enumerate() {
                 if owner >= self.shards {
@@ -251,7 +226,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
             threads: self.threads,
             seed: self.seed,
             partition: self.partition,
-            checkpoint_every: self.checkpoint_every,
         }
     }
 }
@@ -274,9 +248,6 @@ pub struct RunParts<'a, R, F> {
     pub seed: u64,
     /// Optional per-video owning-shard table (the scenario slot).
     pub partition: Option<&'a [usize]>,
-    /// Optional checkpoint cadence in served sessions (supervised
-    /// executors only).
-    pub checkpoint_every: Option<u64>,
 }
 
 /// Everything a system run produces, whatever the slot combination.
@@ -346,24 +317,9 @@ mod tests {
         assert_eq!(RunConfig::new(&reqs).validate(), Ok(()));
         let map = [0usize, 1, 2];
         assert_eq!(
-            RunConfig::new(&reqs)
-                .shards(3)
-                .partition(&map)
-                .checkpoint_every(10)
-                .validate(),
+            RunConfig::new(&reqs).shards(3).partition(&map).validate(),
             Ok(())
         );
-    }
-
-    #[test]
-    fn validate_rejects_zero_checkpoint_cadence() {
-        let reqs: Vec<u8> = vec![1];
-        let err = RunConfig::new(&reqs)
-            .checkpoint_every(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroCheckpointCadence);
-        assert!(err.to_string().contains("cadence"));
     }
 
     #[test]

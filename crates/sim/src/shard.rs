@@ -24,29 +24,29 @@
 //!    are scheduled in slice order, so two requests on the same shard
 //!    fire in the same relative order as in the unsharded run.
 //! 3. **Merge = ordered replay.** Each shard captures one
-//!    `SessionScalars` per session — the exact floats the fold and
-//!    report consume, keyed by `(arrival tick, global request index)`.
+//!    `SessionScalars` per session — the exact floats the fold
+//!    consumes, keyed by `(arrival tick, global request index)`.
 //!    A k-way merge over those keys reconstructs the global engine
-//!    order; replaying the scalars through [`StreamingFold::fold_scalars`]
-//!    and the report accumulators repeats the identical floating-point
-//!    operations in the identical order as `shards(1)`. Snapshots merge
+//!    order; replaying the scalars through one
+//!    [`StreamingFold::fold_scalars`] repeats the identical
+//!    floating-point operations in the identical order as `shards(1)`,
+//!    and the report is projected from that fold. Snapshots merge
 //!    in shard order (sums of disjoint series plus integer counters),
 //!    and the one global quantity a shard cannot see — peak
 //!    simultaneously-active sessions — is recomputed exactly from the
 //!    merged `(arrival, end)` intervals and patched in last (gauges
 //!    merge by `max`, and the global peak dominates every shard's).
 
-use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
-use vod_units::{Mbits, Minutes};
+use sb_metrics::{OpLog, Recorder, Registry, Snapshot};
 
 use crate::agenda::MinQueue;
+use crate::checkpoint::{ShardCrash, ShardRun};
 use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::pool::parallel_map;
 use crate::run::{RunConfig, RunOutcome};
-use crate::sink::{CollectTraces, NullSink, StreamingFold, TeeSink, TraceSink};
+use crate::sink::{CollectTraces, NullSink, SessionSummary, StreamingFold, TeeSink, TraceSink};
 use crate::system::{Request, SystemReport, SystemSim};
-use crate::trace::SessionTrace;
 
 /// The shard owning `key` (a video id) under `seed`, for `shards`
 /// servers: a full-avalanche splitmix64 finalizer, so consecutive video
@@ -65,8 +65,8 @@ pub fn shard_of(key: u64, seed: u64, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// Per-session scalars captured inside a shard: everything the fold and
-/// the report read from a trace, plus the `(tick, idx)` merge key and
+/// Per-session scalars captured inside a shard: everything the fold
+/// reads from a trace, plus the `(tick, idx)` merge key and
 /// the session's end tick for the global peak-active sweep. ~64 bytes
 /// of transient state per session — the sharded analogue of the
 /// streaming path's ~8 bytes.
@@ -166,16 +166,6 @@ pub fn plan_shards(
     slices
 }
 
-/// One shard's raw results, pre-merge.
-struct ShardOut {
-    scalars: Vec<SessionScalars>,
-    snapshot: Snapshot,
-    stats: EngineStats,
-    ops: Option<OpLog>,
-    traces: Option<Vec<SessionTrace>>,
-    err: Option<PolicyError>,
-}
-
 /// Attribute a merge inconsistency to its shard and run label.
 fn merge_err(shard: usize, label: &str, what: impl Into<String>) -> PolicyError {
     PolicyError::ShardMerge {
@@ -186,11 +176,13 @@ fn merge_err(shard: usize, label: &str, what: impl Into<String>) -> PolicyError 
 }
 
 /// The canonical ordered-replay merge: a k-way merge of per-shard scalar
-/// streams by `(arrival tick, global index)`, replaying the identical
-/// floating-point statements `run_core` executes per session. Returns
-/// the recomputed global report plus the replayed fold. `on_session` is
-/// called once per merged session (stream position, cursor) *before* its
-/// scalars are folded — the executor feeds user sinks through it.
+/// streams by `(arrival tick, global index)`, folding each session's
+/// scalars into one [`StreamingFold`] in the global engine order — the
+/// identical floating-point statements, in the identical order, as the
+/// serial path's fold. Returns the fold's summary and the global peak of
+/// simultaneously active sessions. `on_session` is called once per
+/// merged session (stream position, cursor) *before* its scalars are
+/// folded — the executor feeds user sinks through it.
 ///
 /// Inconsistent streams surface as [`PolicyError::ShardMerge`] carrying
 /// the shard index and `label`, never as a panic mid-merge.
@@ -198,14 +190,8 @@ fn replay_merge(
     streams: &[(usize, &[SessionScalars])],
     label: &str,
     mut on_session: impl FnMut(usize, usize) -> Result<(), PolicyError>,
-) -> Result<(SystemReport, StreamingFold), PolicyError> {
+) -> Result<(SessionSummary, usize), PolicyError> {
     let mut fold = StreamingFold::new();
-    let mut sessions = 0usize;
-    let mut latency_sum = 0.0f64;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut worst_latency = Minutes(0.0);
-    let mut worst_buffer = Mbits::ZERO;
-    let mut delivered = 0.0f64;
     let mut peak_active = 0usize;
     let mut ends: MinQueue<u64> = MinQueue::new();
     let mut cursors = vec![0usize; streams.len()];
@@ -239,7 +225,6 @@ fn replay_merge(
         }
         ends.push(sc.end_tick);
         peak_active = peak_active.max(ends.len());
-        // The identical statements `run_core` executes per session.
         fold.fold_scalars(
             sc.latency,
             sc.peak_buffer,
@@ -247,39 +232,9 @@ fn replay_merge(
             sc.delivered,
             sc.max_streams,
         );
-        sessions += 1;
-        latency_sum += sc.latency;
-        latencies.push(sc.latency);
-        worst_latency = worst_latency.max(Minutes(sc.latency));
-        worst_buffer = worst_buffer.max(Mbits(sc.peak_buffer));
-        delivered += sc.delivered;
         cursors[pos] += 1;
     }
-
-    latencies.sort_by(f64::total_cmp);
-    let percentile = |q: f64| -> Minutes {
-        if latencies.is_empty() {
-            Minutes(0.0)
-        } else {
-            let idx = ((latencies.len() as f64 - 1.0) * q).round() as usize;
-            Minutes(latencies[idx])
-        }
-    };
-    let summary = SystemReport {
-        sessions,
-        mean_latency: Minutes(if sessions > 0 {
-            latency_sum / sessions as f64
-        } else {
-            0.0
-        }),
-        p50_latency: percentile(0.5),
-        p95_latency: percentile(0.95),
-        worst_latency,
-        worst_buffer,
-        peak_active_sessions: peak_active,
-        delivered_minutes: Minutes(delivered),
-    };
-    Ok((summary, fold))
+    Ok((fold.finish(), peak_active))
 }
 
 /// Check that `incoming` can merge into `acc` without tripping
@@ -337,14 +292,14 @@ fn merge_snapshots<'a>(
     Ok(snapshot)
 }
 
-/// Merge completed [`ShardRun`](crate::checkpoint::ShardRun)s — from the
+/// Merge completed [`ShardRun`]s — from the
 /// crash-recovery supervisor or
 /// any other caller of [`SystemSim::run_shard`] — into a [`RunOutcome`],
 /// performing the identical ordered replay `execute` uses, so a
 /// supervised (killed, resumed, retried) run's outcome is byte-identical
 /// to an uninterrupted `execute` of the same `RunConfig`.
 ///
-/// `runs` pairs each [`ShardRun`](crate::checkpoint::ShardRun) with its
+/// `runs` pairs each [`ShardRun`] with its
 /// shard index; any subset of a
 /// run's shards may be merged (the supervisor's graceful-degradation
 /// path merges the survivors), in any order — merging is canonicalized
@@ -355,8 +310,20 @@ fn merge_snapshots<'a>(
 /// [`PolicyError::ShardMerge`] when the per-shard streams are
 /// inconsistent; never panics on untrusted shard output.
 pub fn merge_shard_runs(
-    mut runs: Vec<(usize, crate::checkpoint::ShardRun)>,
+    runs: Vec<(usize, ShardRun)>,
     label: &str,
+) -> Result<RunOutcome, PolicyError> {
+    merge_runs(runs, label, |_, _| Ok(()))
+}
+
+/// The one merge behind [`merge_shard_runs`] and `execute`'s sharded
+/// path: the ordered replay, the engine-stats sum and the snapshot merge.
+/// `on_session` is [`replay_merge`]'s per-session hook, its stream
+/// position being the run's rank in shard order.
+fn merge_runs(
+    mut runs: Vec<(usize, ShardRun)>,
+    label: &str,
+    on_session: impl FnMut(usize, usize) -> Result<(), PolicyError>,
 ) -> Result<RunOutcome, PolicyError> {
     runs.sort_by_key(|&(s, _)| s);
     for pair in runs.windows(2) {
@@ -372,7 +339,7 @@ pub fn merge_shard_runs(
         .iter()
         .map(|(s, r)| (*s, r.scalars.as_slice()))
         .collect();
-    let (summary, fold) = replay_merge(&streams, label, |_, _| Ok(()))?;
+    let (fold, peak_active) = replay_merge(&streams, label, on_session)?;
 
     let mut stats = EngineStats::default();
     let mut shard_peak_agenda = Vec::with_capacity(runs.len());
@@ -388,17 +355,28 @@ pub fn merge_shard_runs(
     }
     let snapshot = merge_snapshots(
         runs.iter().map(|(s, r)| (*s, &r.snapshot)),
-        summary.peak_active_sessions,
+        peak_active,
         label,
     )?;
     Ok(RunOutcome {
-        summary,
-        fold: fold.finish(),
+        summary: SystemReport::project(&fold, peak_active),
+        fold,
         stats,
         shard_peak_agenda,
         shard_sessions,
         snapshot,
     })
+}
+
+/// The policy error behind a crash of an `execute` run, which has no
+/// probe to kill it and no checkpoint to resume.
+fn policy_error(crash: ShardCrash) -> PolicyError {
+    match crash {
+        ShardCrash::Policy(e) => e,
+        ShardCrash::Killed(_) | ShardCrash::Corrupt(_) => {
+            unreachable!("execute runs without a probe or a resume: {crash}")
+        }
+    }
 }
 
 impl SystemSim<'_> {
@@ -425,50 +403,33 @@ impl SystemSim<'_> {
     }
 
     /// The unsharded fast path: one engine, traces streamed straight
-    /// through, nothing buffered.
+    /// through the fold (and the caller's sink), nothing buffered.
     fn execute_serial(
         &self,
         requests: &[Request],
         recorder: Option<&mut dyn Recorder>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<RunOutcome, PolicyError> {
-        let mut reg = Registry::new();
         let mut fold = StreamingFold::new();
-        let (summary, stats) = match (recorder, sink) {
-            (None, None) => self.run_core(requests, &mut reg, &mut fold, None),
-            (Some(user), None) => {
-                let mut tee = TeeRecorder {
-                    a: &mut reg,
-                    b: user,
-                };
-                self.run_core(requests, &mut tee, &mut fold, None)
-            }
-            (None, Some(user)) => {
+        let out = match sink {
+            Some(user) => {
                 let mut tee = TeeSink {
                     a: &mut fold,
                     b: user,
                 };
-                self.run_core(requests, &mut reg, &mut tee, None)
+                self.run_core(requests, false, recorder, &mut tee, None)
             }
-            (Some(user_rec), Some(user_sink)) => {
-                let mut rec = TeeRecorder {
-                    a: &mut reg,
-                    b: user_rec,
-                };
-                let mut tee = TeeSink {
-                    a: &mut fold,
-                    b: user_sink,
-                };
-                self.run_core(requests, &mut rec, &mut tee, None)
-            }
-        }?;
+            None => self.run_core(requests, false, recorder, &mut fold, None),
+        }
+        .map_err(policy_error)?;
+        let fold = fold.finish();
         Ok(RunOutcome {
-            summary,
-            fold: fold.finish(),
-            shard_peak_agenda: vec![stats.peak_agenda],
+            summary: SystemReport::project(&fold, out.peak_active),
+            fold,
+            shard_peak_agenda: vec![out.stats.peak_agenda],
             shard_sessions: vec![requests.len()],
-            stats,
-            snapshot: reg.snapshot(),
+            stats: out.stats,
+            snapshot: out.snapshot,
         })
     }
 
@@ -479,110 +440,52 @@ impl SystemSim<'_> {
         parts: crate::run::RunParts<'_, Request, ()>,
     ) -> Result<RunOutcome, PolicyError> {
         const LABEL: &str = "sim-shards";
-        let shards = parts.shards;
-        let slices = plan_shards(parts.requests, shards, parts.seed, parts.partition);
+        let slices = plan_shards(parts.requests, parts.shards, parts.seed, parts.partition);
 
         let want_ops = parts.recorder.is_some();
         let want_traces = parts.sink.is_some();
-        let outs: Vec<ShardOut> = parallel_map(parts.threads, LABEL, &slices, |_, slice| {
-            let mut reg = Registry::new();
+        let outs = parallel_map(parts.threads, LABEL, &slices, |_, slice| {
             let mut ops = want_ops.then(OpLog::new);
             let mut collect = want_traces.then(CollectTraces::new);
-            let mut scalars: Vec<SessionScalars> = Vec::with_capacity(slice.len());
-            let mut null_sink = NullSink;
             let sink: &mut dyn TraceSink = match collect.as_mut() {
                 Some(c) => c,
-                None => &mut null_sink,
+                None => &mut NullSink,
             };
-            let reqs = slice.requests();
-            let result = match ops.as_mut() {
-                Some(log) => {
-                    let mut tee = TeeRecorder {
-                        a: &mut reg,
-                        b: log,
-                    };
-                    self.run_core(reqs, &mut tee, sink, Some(&mut scalars))
-                }
-                None => self.run_core(reqs, &mut reg, sink, Some(&mut scalars)),
-            };
-            for sc in &mut scalars {
-                sc.idx = slice.global_idx()[sc.idx];
-            }
-            let (stats, err) = match result {
-                Ok((_, stats)) => (stats, None),
-                Err(e) => (EngineStats::default(), Some(e)),
-            };
-            ShardOut {
-                scalars,
-                snapshot: reg.snapshot(),
-                stats,
-                ops,
-                traces: collect.map(|c| c.traces),
-                err,
-            }
+            let rec = ops.as_mut().map(|log| log as &mut dyn Recorder);
+            let run = self.run_slice(slice, rec, sink, None);
+            (run, ops, collect.map(|c| c.traces))
         });
-        if let Some(e) = outs.iter().find_map(|o| o.err.clone()) {
-            return Err(e);
+        let mut runs = Vec::with_capacity(outs.len());
+        let mut logs = Vec::with_capacity(outs.len());
+        let mut traces = Vec::with_capacity(outs.len());
+        for (s, (run, ops, tr)) in outs.into_iter().enumerate() {
+            runs.push((s, run.map_err(policy_error)?));
+            logs.push(ops);
+            traces.push(tr);
         }
 
         // Ordered replay: k-way merge by (arrival tick, global index)
         // reconstructs the unsharded engine order exactly, feeding the
         // user's trace sink one session at a time along the way.
-        let streams: Vec<(usize, &[SessionScalars])> = outs
-            .iter()
-            .enumerate()
-            .map(|(s, o)| (s, o.scalars.as_slice()))
-            .collect();
         let mut user_sink = parts.sink;
-        let (summary, fold) = replay_merge(&streams, LABEL, |s, cursor| {
-            if let Some(sink) = user_sink.as_deref_mut() {
-                if let Some(traces) = &outs[s].traces {
-                    let trace = traces.get(cursor).ok_or_else(|| {
-                        merge_err(s, LABEL, "trace stream shorter than scalar stream")
-                    })?;
-                    sink.accept(trace);
-                }
+        let outcome = merge_runs(runs, LABEL, |s, cursor| {
+            if let (Some(sink), Some(traces)) = (user_sink.as_deref_mut(), &traces[s]) {
+                let trace = traces.get(cursor).ok_or_else(|| {
+                    merge_err(s, LABEL, "trace stream shorter than scalar stream")
+                })?;
+                sink.accept(trace);
             }
             Ok(())
         })?;
-        let peak_active = summary.peak_active_sessions;
-
-        let mut stats = EngineStats::default();
-        let mut shard_peak_agenda = Vec::with_capacity(shards);
-        let mut shard_sessions = Vec::with_capacity(shards);
-        for out in &outs {
-            stats.scheduled += out.stats.scheduled;
-            stats.fired += out.stats.fired;
-            stats.cancelled += out.stats.cancelled;
-            stats.compactions += out.stats.compactions;
-            stats.peak_agenda = stats.peak_agenda.max(out.stats.peak_agenda);
-            shard_peak_agenda.push(out.stats.peak_agenda);
-            shard_sessions.push(out.scalars.len());
-        }
-
-        let snapshot = merge_snapshots(
-            outs.iter().enumerate().map(|(s, o)| (s, &o.snapshot)),
-            peak_active,
-            LABEL,
-        )?;
 
         if let Some(rec) = parts.recorder {
-            for out in &outs {
-                if let Some(log) = &out.ops {
-                    log.replay(rec);
-                }
+            for log in logs.iter().flatten() {
+                log.replay(rec);
             }
+            let peak_active = outcome.summary.peak_active_sessions;
             rec.gauge_max("sim_peak_active_sessions", &[], peak_active as f64);
         }
-
-        Ok(RunOutcome {
-            summary,
-            fold: fold.finish(),
-            stats,
-            shard_peak_agenda,
-            shard_sessions,
-            snapshot,
-        })
+        Ok(outcome)
     }
 }
 
@@ -596,7 +499,7 @@ mod tests {
     use sb_core::scheme::BroadcastScheme;
     use sb_core::series::Width;
     use sb_core::Skyscraper;
-    use vod_units::Mbps;
+    use vod_units::{Mbps, Minutes};
 
     #[test]
     fn shard_of_is_stable_in_range_and_seed_sensitive() {

@@ -121,12 +121,6 @@ impl StreamingFold {
         Self::default()
     }
 
-    /// Sessions folded so far.
-    #[must_use]
-    pub fn sessions(&self) -> usize {
-        self.sessions
-    }
-
     /// Fold one session from its pre-extracted scalars — exactly the
     /// operations [`TraceSink::accept`] performs, in the same order.
     ///
@@ -152,10 +146,8 @@ impl StreamingFold {
         self.max_streams = self.max_streams.max(max_streams);
     }
 
-    /// Export the fold's accumulators as a [`FoldState`] — the
-    /// checkpoint form. `StreamingFold::thaw(fold.freeze())` continues
-    /// folding exactly where `fold` stood, bit for bit: the float sums
-    /// keep their association, the percentile buffer its order.
+    /// Export the fold's accumulators as a [`FoldState`]: the running
+    /// sums with their exact bits and the percentile buffer in fold order.
     #[must_use]
     pub fn freeze(&self) -> FoldState {
         FoldState {
@@ -170,24 +162,6 @@ impl StreamingFold {
             stall_minutes: self.stall_minutes,
             stalls: self.stalls,
             truncated_sessions: self.truncated_sessions,
-        }
-    }
-
-    /// Rebuild a fold from a [`FoldState`] (see [`StreamingFold::freeze`]).
-    #[must_use]
-    pub fn thaw(state: FoldState) -> Self {
-        Self {
-            sessions: state.sessions,
-            latency_sum: state.latency_sum,
-            latencies: state.latencies,
-            worst_latency: state.worst_latency,
-            worst_buffer: state.worst_buffer,
-            total_received: state.total_received,
-            delivered: state.delivered,
-            max_streams: state.max_streams,
-            stall_minutes: state.stall_minutes,
-            stalls: state.stalls,
-            truncated_sessions: state.truncated_sessions,
         }
     }
 
@@ -218,9 +192,8 @@ impl StreamingFold {
 }
 
 /// The exported accumulators of a [`StreamingFold`], as plain public
-/// fields so the checkpoint encoder can serialize them bit-exactly (the
-/// fold itself keeps its fields private — only freeze/thaw move state in
-/// and out wholesale).
+/// fields (the fold itself keeps its fields private — only
+/// [`StreamingFold::freeze`] reads them out wholesale).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoldState {
     /// Sessions folded.
@@ -453,32 +426,6 @@ mod tests {
         assert!(a.stall_minutes.value() > 0.0);
         assert_eq!(collect.traces.len(), 40);
         assert_eq!(collect.stall_reports.len(), 40);
-    }
-
-    #[test]
-    fn fold_freeze_thaw_resumes_bit_for_bit() {
-        let (plan, ts) = traces();
-        let losses = LossModel::new(0.2, 7).unwrap();
-        let mut whole = StreamingFold::new();
-        let mut prefix = StreamingFold::new();
-        for (i, t) in ts.iter().enumerate() {
-            let report = apply_losses(&plan, t, &losses);
-            whole.accept_stalls(&report);
-            if i < 17 {
-                prefix.accept_stalls(&report);
-            }
-        }
-        let mut resumed = StreamingFold::thaw(prefix.freeze());
-        for t in ts.iter().skip(17) {
-            let report = apply_losses(&plan, t, &losses);
-            resumed.accept_stalls(&report);
-        }
-        assert_eq!(whole.finish(), resumed.finish());
-        assert_eq!(
-            serde_json::to_string(&whole.finish()).unwrap(),
-            serde_json::to_string(&resumed.finish()).unwrap()
-        );
-        assert_eq!(resumed.sessions(), 40);
     }
 
     #[test]

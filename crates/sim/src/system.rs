@@ -15,16 +15,17 @@
 //! into the same [`SystemSim`], because every model reduces its sessions
 //! to the common [`crate::trace::SessionTrace`].
 
-use sb_metrics::Recorder;
+use sb_metrics::{Recorder, Registry, Snapshot, TeeRecorder};
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
 use sb_core::plan::{ChannelPlan, VideoId};
 
-use crate::engine::Engine;
+use crate::checkpoint::{encode_state, CheckpointState, Probe, ShardCrash, Verdict};
+use crate::engine::{Engine, EngineStats};
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
-use crate::sink::TraceSink;
+use crate::sink::{SessionSummary, TraceSink};
 use crate::trace::ClientModel;
 
 /// One viewer request.
@@ -67,87 +68,49 @@ pub(crate) enum Ev {
     Finish,
 }
 
-/// The mutable accumulators of one simulation core — everything
-/// [`SystemSim::handle_event`] updates per event and
-/// [`finish_core`] folds into the final [`SystemReport`]. Extracted as a
-/// struct (rather than a closure's captured locals) so the checkpointed
-/// runner can freeze and restore mid-run state bit-exactly; the
-/// statements that mutate it are shared verbatim between the historical
-/// `run_core` path and the checkpoint path.
-#[derive(Debug, Clone)]
+impl SystemReport {
+    /// The report of a run whose sessions folded into `fold`: every field
+    /// is the fold's but the peak active-session count, which only the
+    /// engine (or the merge's interval sweep) sees.
+    pub(crate) fn project(fold: &SessionSummary, peak_active_sessions: usize) -> Self {
+        Self {
+            sessions: fold.sessions,
+            mean_latency: fold.mean_latency,
+            p50_latency: fold.p50_latency,
+            p95_latency: fold.p95_latency,
+            worst_latency: fold.worst_latency,
+            worst_buffer: fold.worst_buffer,
+            peak_active_sessions,
+            delivered_minutes: fold.delivered_minutes,
+        }
+    }
+}
+
+/// The engine-side counters of one simulation core. Every per-session
+/// statistic lives in the run's [`crate::sink::StreamingFold`] (or in the
+/// captured [`SessionScalars`] the merge folds), never here.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CoreState {
-    pub(crate) sessions: usize,
-    pub(crate) latency_sum: f64,
-    pub(crate) latencies: Vec<f64>,
-    pub(crate) worst_latency: Minutes,
-    pub(crate) worst_buffer: Mbits,
     pub(crate) active: usize,
     pub(crate) peak_active: usize,
-    pub(crate) delivered: f64,
-    pub(crate) error: Option<PolicyError>,
 }
 
-impl CoreState {
-    pub(crate) fn new() -> Self {
-        Self {
-            sessions: 0,
-            latency_sum: 0.0,
-            latencies: Vec::new(),
-            worst_latency: Minutes(0.0),
-            worst_buffer: Mbits::ZERO,
-            active: 0,
-            peak_active: 0,
-            delivered: 0.0,
-            error: None,
-        }
-    }
+/// The checkpoint hooks of [`SystemSim::run_core`]: take a checkpoint
+/// every `every` served sessions, show it and every event to `probe`, and
+/// optionally start from a decoded checkpoint instead of the beginning.
+pub(crate) struct Checkpoints<'p> {
+    pub(crate) every: u64,
+    pub(crate) probe: &'p mut dyn FnMut(Probe<'_>) -> Verdict,
+    pub(crate) resume: Option<CheckpointState>,
 }
 
-/// Close out a run: emit the end-of-run metric events and fold the
-/// accumulators into a [`SystemReport`] — the exact statements (and
-/// float order) of the historical `run_core` epilogue.
-pub(crate) fn finish_core(
-    mut state: CoreState,
-    stats: crate::engine::EngineStats,
-    rec: &mut dyn Recorder,
-) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
-    if let Some(e) = state.error {
-        return Err(e);
-    }
-    rec.gauge_max("sim_peak_active_sessions", &[], state.peak_active as f64);
-    for (kind, n) in [
-        ("scheduled", stats.scheduled),
-        ("fired", stats.fired),
-        ("cancelled", stats.cancelled),
-    ] {
-        rec.incr("engine_events_total", &[("kind", kind)], n);
-    }
-    state.latencies.sort_by(f64::total_cmp);
-    let percentile = |q: f64| -> Minutes {
-        if state.latencies.is_empty() {
-            Minutes(0.0)
-        } else {
-            let idx = ((state.latencies.len() as f64 - 1.0) * q).round() as usize;
-            Minutes(state.latencies[idx])
-        }
-    };
-    Ok((
-        SystemReport {
-            sessions: state.sessions,
-            mean_latency: Minutes(if state.sessions > 0 {
-                state.latency_sum / state.sessions as f64
-            } else {
-                0.0
-            }),
-            p50_latency: percentile(0.5),
-            p95_latency: percentile(0.95),
-            worst_latency: state.worst_latency,
-            worst_buffer: state.worst_buffer,
-            peak_active_sessions: state.peak_active,
-            delivered_minutes: Minutes(state.delivered),
-        },
-        stats,
-    ))
+/// What [`SystemSim::run_core`] returns on completion.
+pub(crate) struct CoreOut {
+    pub(crate) stats: EngineStats,
+    pub(crate) peak_active: usize,
+    pub(crate) scalars: Vec<SessionScalars>,
+    pub(crate) snapshot: Snapshot,
+    pub(crate) checkpoints_taken: u64,
 }
 
 /// A many-client simulation over a fixed broadcast plan.
@@ -178,53 +141,117 @@ impl<'a> SystemSim<'a> {
         self
     }
 
-    /// The one simulation core every public entry point funnels into.
+    /// The one event loop every execution path runs.
     ///
-    /// Drives `requests` through an engine,
-    /// streaming traces into `sink` and metric events into `rec`. When
-    /// `capture` is given, additionally appends one [`SessionScalars`]
-    /// per served session in engine (pop) order — the sharded executor's
-    /// raw material; the captured floats are computed by the very
-    /// statements that feed the report, so a later replay repeats
-    /// bit-identical operations.
+    /// Drives `requests` through an engine, streaming traces into `sink`
+    /// and metric events into the core's own registry and, when given,
+    /// into `rec` as well. With `capture` it also keeps one
+    /// [`SessionScalars`] per served session in engine (pop) order — the
+    /// ordered-replay merge's input; the serial path streams without
+    /// them. `checkpoints` (which needs `capture`) adds the supervisor's
+    /// hooks: resume, a checkpoint every `every` sessions, and the kill
+    /// probe.
     pub(crate) fn run_core(
         &self,
         requests: &[Request],
-        rec: &mut dyn Recorder,
+        capture: bool,
+        mut rec: Option<&mut dyn Recorder>,
         sink: &mut dyn TraceSink,
-        mut capture: Option<&mut Vec<SessionScalars>>,
-    ) -> Result<(SystemReport, crate::engine::EngineStats), PolicyError> {
-        let mut engine: Engine<Ev> = Engine::new();
-        self.schedule_arrivals(&mut engine, requests);
+        mut checkpoints: Option<Checkpoints<'_>>,
+    ) -> Result<CoreOut, ShardCrash> {
+        let (mut engine, mut state, mut reg, mut scalars) =
+            match checkpoints.as_mut().and_then(|c| c.resume.take()) {
+                Some(cp) => (
+                    Engine::thaw(cp.frozen),
+                    cp.core,
+                    Registry::from_snapshot(&cp.snapshot),
+                    cp.scalars,
+                ),
+                None => {
+                    let mut engine: Engine<Ev> = Engine::new();
+                    for (pos, r) in requests.iter().enumerate() {
+                        engine.schedule_at(
+                            Ticks::ZERO + self.scale.duration_from_minutes(r.at),
+                            Ev::Arrive(pos),
+                        );
+                    }
+                    let scalars = Vec::with_capacity(if capture { requests.len() } else { 0 });
+                    (engine, CoreState::default(), Registry::new(), scalars)
+                }
+            };
         let index = self.plan.index();
-        let mut state = CoreState::new();
-        engine.run(|eng, at, ev| {
-            self.handle_event(
-                &mut state,
-                eng,
-                at,
-                ev,
-                &index,
-                requests,
-                rec,
-                sink,
-                &mut capture,
-            );
-        });
-        let stats = engine.stats();
-        finish_core(state, stats, rec)
-    }
-
-    /// Schedule every request's `Arrive` event, in slice order — the
-    /// FIFO sequence numbers this assigns are part of the deterministic
-    /// pop order a checkpoint must preserve.
-    pub(crate) fn schedule_arrivals(&self, engine: &mut Engine<Ev>, requests: &[Request]) {
-        for (pos, r) in requests.iter().enumerate() {
-            engine.schedule_at(
-                Ticks::ZERO + self.scale.duration_from_minutes(r.at),
-                Ev::Arrive(pos),
-            );
+        let mut checkpoints_taken = 0u64;
+        while let Some((at, ev)) = engine.next() {
+            if let Some(ck) = checkpoints.as_mut() {
+                if let Verdict::Kill = (ck.probe)(Probe::Event { tick: at.0 }) {
+                    let done = scalars.len() as u64;
+                    return Err(ShardCrash::killed(at.0, done, checkpoints_taken));
+                }
+            }
+            let mut tee;
+            let r: &mut dyn Recorder = match rec.as_deref_mut() {
+                Some(b) => {
+                    tee = TeeRecorder { a: &mut reg, b };
+                    &mut tee
+                }
+                None => &mut reg,
+            };
+            let cap = if capture { Some(&mut scalars) } else { None };
+            let served = self
+                .handle_event(
+                    &mut state,
+                    &mut engine,
+                    at,
+                    ev,
+                    &index,
+                    requests,
+                    r,
+                    sink,
+                    cap,
+                )
+                .map_err(ShardCrash::Policy)?;
+            let Some(ck) = checkpoints.as_mut().filter(|_| served) else {
+                continue;
+            };
+            let sessions_done = scalars.len() as u64;
+            if sessions_done % ck.every == 0 {
+                let encoded = encode_state(&CheckpointState {
+                    frozen: engine.freeze(),
+                    core: state.clone(),
+                    scalars: scalars.clone(),
+                    snapshot: reg.snapshot(),
+                });
+                checkpoints_taken += 1;
+                let index = sessions_done / ck.every;
+                if let Verdict::Kill = (ck.probe)(Probe::Checkpoint {
+                    index,
+                    encoded: &encoded,
+                }) {
+                    return Err(ShardCrash::killed(at.0, sessions_done, checkpoints_taken));
+                }
+            }
         }
+        let stats = engine.stats();
+        for r in [Some(&mut reg as &mut dyn Recorder), rec]
+            .into_iter()
+            .flatten()
+        {
+            r.gauge_max("sim_peak_active_sessions", &[], state.peak_active as f64);
+            for (kind, n) in [
+                ("scheduled", stats.scheduled),
+                ("fired", stats.fired),
+                ("cancelled", stats.cancelled),
+            ] {
+                r.incr("engine_events_total", &[("kind", kind)], n);
+            }
+        }
+        Ok(CoreOut {
+            stats,
+            peak_active: state.peak_active,
+            scalars,
+            snapshot: reg.snapshot(),
+            checkpoints_taken,
+        })
     }
 
     /// Handle one engine event — the exact per-session statements (and
@@ -233,7 +260,7 @@ impl<'a> SystemSim<'a> {
     /// the *only* copy of them. Returns `true` when a session was served
     /// (the checkpoint cadence counts served sessions).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_event(
+    fn handle_event(
         &self,
         state: &mut CoreState,
         eng: &mut Engine<Ev>,
@@ -243,181 +270,55 @@ impl<'a> SystemSim<'a> {
         requests: &[Request],
         rec: &mut dyn Recorder,
         sink: &mut dyn TraceSink,
-        capture: &mut Option<&mut Vec<SessionScalars>>,
-    ) -> bool {
-        match ev {
-            Ev::Arrive(pos) => {
-                if state.error.is_some() {
-                    return false;
-                }
-                let r = requests[pos];
-                match self
-                    .model
-                    .session_indexed(index, r.video, r.at, self.display_rate)
-                {
-                    Ok(s) => {
-                        sink.accept(&s);
-                        state.sessions += 1;
-                        state.active += 1;
-                        state.peak_active = state.peak_active.max(state.active);
-                        let lat = s.startup_latency();
-                        state.latency_sum += lat.value();
-                        state.latencies.push(lat.value());
-                        state.worst_latency = state.worst_latency.max(lat);
-                        state.worst_buffer = state.worst_buffer.max(s.peak_buffer());
-                        let end = s.playback_end();
-                        let session_delivered = end.value() - s.playback_start.value();
-                        state.delivered += session_delivered;
-                        let video = r.video.0.to_string();
-                        let vl: &[(&str, &str)] = &[("video", &video)];
-                        rec.incr("sim_sessions_total", vl, 1);
-                        rec.observe("sim_latency_minutes", vl, lat.value());
-                        rec.observe("sim_peak_buffer_mbits", vl, s.peak_buffer().value());
-                        for rx in &s.receptions {
-                            let channel = rx.channel.to_string();
-                            rec.observe(
-                                "sim_channel_busy_minutes",
-                                &[("channel", &channel)],
-                                rx.duration.value(),
-                            );
-                        }
-                        let end_at = Ticks::ZERO + self.scale.duration_from_minutes(end);
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.push(SessionScalars {
-                                tick: at.0,
-                                idx: pos,
-                                end_tick: end_at.0,
-                                latency: lat.value(),
-                                peak_buffer: s.peak_buffer().value(),
-                                total_received: s.total_received().value(),
-                                delivered: session_delivered,
-                                max_streams: s.max_concurrent_receptions(),
-                            });
-                        }
-                        eng.schedule_at(end_at, Ev::Finish);
-                        true
-                    }
-                    Err(e) => {
-                        state.error = Some(e);
-                        false
-                    }
-                }
-            }
+        capture: Option<&mut Vec<SessionScalars>>,
+    ) -> Result<bool, PolicyError> {
+        let pos = match ev {
+            Ev::Arrive(pos) => pos,
             Ev::Finish => {
                 state.active = state.active.saturating_sub(1);
-                false
+                return Ok(false);
             }
-        }
-    }
-
-    /// The checkpoint-aware shard core: the same event loop as
-    /// [`SystemSim::run_core`] (sharing [`SystemSim::handle_event`]
-    /// statement for statement), plus three hooks — resume from a decoded
-    /// [`crate::checkpoint::CheckpointState`], take a checkpoint every
-    /// `checkpoint_every` served sessions, and consult `probe` before
-    /// each event and after each checkpoint so a supervisor can inject
-    /// deterministic crashes.
-    ///
-    /// Always runs with a live [`StreamingFold`] *and* a
-    /// [`SessionScalars`] capture: the fold serves the single-shard
-    /// (serial-identical) outcome, the capture feeds the cross-shard
-    /// ordered-replay merge.
-    pub(crate) fn run_core_checkpointed(
-        &self,
-        requests: &[Request],
-        checkpoint_every: u64,
-        resume: Option<crate::checkpoint::CheckpointState>,
-        probe: &mut dyn FnMut(crate::checkpoint::Probe<'_>) -> crate::checkpoint::Verdict,
-    ) -> Result<CoreRunOut, crate::checkpoint::ShardCrash> {
-        use crate::checkpoint::{encode_state, Probe, ShardCrash, Verdict};
-        assert!(checkpoint_every > 0, "validated by the supervisor");
-        let (mut engine, mut state, mut fold, mut scalars, mut reg, mut sessions_done) =
-            match resume {
-                Some(cp) => (
-                    Engine::thaw(cp.frozen),
-                    cp.core,
-                    crate::sink::StreamingFold::thaw(cp.fold),
-                    cp.scalars,
-                    sb_metrics::Registry::from_snapshot(&cp.snapshot),
-                    cp.sessions_done,
-                ),
-                None => {
-                    let mut engine: Engine<Ev> = Engine::new();
-                    self.schedule_arrivals(&mut engine, requests);
-                    (
-                        engine,
-                        CoreState::new(),
-                        crate::sink::StreamingFold::new(),
-                        Vec::new(),
-                        sb_metrics::Registry::new(),
-                        0u64,
-                    )
-                }
-            };
-        let index = self.plan.index();
-        let mut checkpoints_taken = 0u64;
-        while let Some((at, ev)) = engine.next() {
-            if let Verdict::Kill = probe(Probe::Event { tick: at.0 }) {
-                return Err(ShardCrash::killed(at.0, sessions_done, checkpoints_taken));
-            }
-            let mut cap = Some(&mut scalars);
-            let served = self.handle_event(
-                &mut state,
-                &mut engine,
-                at,
-                ev,
-                &index,
-                requests,
-                &mut reg,
-                &mut fold,
-                &mut cap,
+        };
+        let r = requests[pos];
+        let s = self
+            .model
+            .session_indexed(index, r.video, r.at, self.display_rate)?;
+        sink.accept(&s);
+        state.active += 1;
+        state.peak_active = state.peak_active.max(state.active);
+        let lat = s.startup_latency();
+        let end = s.playback_end();
+        let video = r.video.0.to_string();
+        let vl: &[(&str, &str)] = &[("video", &video)];
+        rec.incr("sim_sessions_total", vl, 1);
+        rec.observe("sim_latency_minutes", vl, lat.value());
+        rec.observe("sim_peak_buffer_mbits", vl, s.peak_buffer().value());
+        for rx in &s.receptions {
+            let channel = rx.channel.to_string();
+            rec.observe(
+                "sim_channel_busy_minutes",
+                &[("channel", &channel)],
+                rx.duration.value(),
             );
-            if let Some(e) = state.error.take() {
-                return Err(ShardCrash::Policy(e));
-            }
-            if served {
-                sessions_done += 1;
-                if sessions_done % checkpoint_every == 0 {
-                    let cp = crate::checkpoint::CheckpointState {
-                        frozen: engine.freeze(),
-                        core: state.clone(),
-                        fold: fold.freeze(),
-                        scalars: scalars.clone(),
-                        snapshot: reg.snapshot(),
-                        sessions_done,
-                    };
-                    let encoded = encode_state(&cp);
-                    checkpoints_taken += 1;
-                    let index = sessions_done / checkpoint_every;
-                    if let Verdict::Kill = probe(Probe::Checkpoint {
-                        index,
-                        encoded: &encoded,
-                    }) {
-                        return Err(ShardCrash::killed(at.0, sessions_done, checkpoints_taken));
-                    }
-                }
-            }
         }
-        let stats = engine.stats();
-        let (report, stats) = finish_core(state, stats, &mut reg).map_err(ShardCrash::Policy)?;
-        drop(fold); // the merge re-replays the fold from the scalar stream
-        Ok(CoreRunOut {
-            report,
-            stats,
-            scalars,
-            snapshot: reg.snapshot(),
-            checkpoints_taken,
-        })
+        let end_at = Ticks::ZERO + self.scale.duration_from_minutes(end);
+        if let Some(cap) = capture {
+            // The floats `StreamingFold::accept` folds, computed by the
+            // same expressions, so the merge's replay is bit-identical.
+            cap.push(SessionScalars {
+                tick: at.0,
+                idx: pos,
+                end_tick: end_at.0,
+                latency: lat.value(),
+                peak_buffer: s.peak_buffer().value(),
+                total_received: s.total_received().value(),
+                delivered: end.value() - s.playback_start.value(),
+                max_streams: s.max_concurrent_receptions(),
+            });
+        }
+        eng.schedule_at(end_at, Ev::Finish);
+        Ok(true)
     }
-}
-
-/// What [`SystemSim::run_core_checkpointed`] returns on completion.
-pub(crate) struct CoreRunOut {
-    pub(crate) report: SystemReport,
-    pub(crate) stats: crate::engine::EngineStats,
-    pub(crate) scalars: Vec<SessionScalars>,
-    pub(crate) snapshot: sb_metrics::Snapshot,
-    pub(crate) checkpoints_taken: u64,
 }
 
 #[cfg(test)]

@@ -165,11 +165,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Set column `col` of one row of the SBCKPT table at `path` to `value`
-/// and re-seal the bytes with a valid checksum and length, as a forger
-/// would. The row is the first one, or with `arrival_only` the first
-/// whose event column (2) holds an `Arrive` index (`Finish` is `null`).
+/// and re-seal the bytes under the header's own version with a valid
+/// checksum and length, as a forger would. The row is the first one, or
+/// with `arrival_only` the first whose event column (2) holds an
+/// `Arrive` index (`Finish` is `null`).
 fn forge(bytes: &[u8], path: &str, arrival_only: bool, col: usize, value: u64) -> Vec<u8> {
     let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&bytes[..nl]).unwrap();
+    let version = header.split(' ').nth(1).unwrap();
     let mut root: serde::Value =
         serde_json::from_str(std::str::from_utf8(&bytes[nl + 1..]).unwrap()).unwrap();
     let mut node = &mut root;
@@ -194,7 +197,7 @@ fn forge(bytes: &[u8], path: &str, arrival_only: bool, col: usize, value: u64) -
     row[col] = serde::Value::UInt(value);
     let payload = serde_json::to_string(&root).unwrap();
     let mut out = format!(
-        "SBCKPT 1 {:016x} {}\n",
+        "SBCKPT {version} {:016x} {}\n",
         fnv1a64(payload.as_bytes()),
         payload.len()
     )

@@ -120,3 +120,37 @@ proptest! {
         }
     }
 }
+
+/// The report is the fold's projection: every field they share is the
+/// same bits, serial and sharded, for every client model.
+#[test]
+fn summary_shares_the_folds_bits() {
+    let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    for (name, plan, model) in lineup() {
+        let videos = plan.num_videos().max(1);
+        let reqs: Vec<Request> = (0..60)
+            .map(|i| Request {
+                at: Minutes(0.77 * i as f64),
+                video: VideoId(i % videos),
+            })
+            .collect();
+        let sim = SystemSim::new(&plan, cfg.display_rate, model.as_ref());
+        for shards in [1, 4] {
+            let out = sim
+                .execute(RunConfig::new(&reqs).shards(shards))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (s, f) = (&out.summary, &out.fold);
+            assert_eq!(s.sessions, f.sessions, "{name} S={shards}");
+            for (a, b) in [
+                (s.mean_latency.value(), f.mean_latency.value()),
+                (s.p50_latency.value(), f.p50_latency.value()),
+                (s.p95_latency.value(), f.p95_latency.value()),
+                (s.worst_latency.value(), f.worst_latency.value()),
+                (s.worst_buffer.value(), f.worst_buffer.value()),
+                (s.delivered_minutes.value(), f.delivered_minutes.value()),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name} S={shards}");
+            }
+        }
+    }
+}

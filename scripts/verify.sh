@@ -18,6 +18,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> sbperf smoke (the benchmark builds against the sim API; every check holds)"
+# 1%-scale run of every workload: execute's fold equals the outside fold
+# and merge_shard_runs equals both, so an API or merge change that breaks
+# the benchmark fails here rather than in the driver.
+cargo test --offline --manifest-path sbperf/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings denied, first-party crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p skyscraper-broadcasting -p vod-units -p sb-core -p sb-pyramid \
