@@ -7,9 +7,11 @@
 //! count in the grid and reports, per `S`:
 //!
 //! * **agenda footprint** — each shard's agenda high-water mark, and the
-//!   largest anywhere (`max_shard_peak_agenda`). This is the per-server
-//!   memory story: `S` servers each hold roughly `1/S` of the pending
-//!   events.
+//!   largest anywhere (`max_shard_peak_agenda`). The sweep behind
+//!   `SystemSim` keeps no agenda; these are the peaks of the event
+//!   engine it replaced, which held every pending arrival, so each is
+//!   the shard's session count and `S` servers each hold roughly `1/S`
+//!   of them.
 //! * **simulated rates** — sessions and engine events per *simulated*
 //!   second, normalized by the arrival horizon plus one video length.
 //!   Sim-time rates are pure functions of the workload, so every cell is

@@ -42,8 +42,8 @@ const LABEL: &str = "recovery";
 /// What fires a scripted crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashTrigger {
-    /// Kill the shard just before it processes the first event at or
-    /// after this engine tick.
+    /// Kill the shard just before it processes the first event (a
+    /// session end or an arrival) at or after this tick.
     AtTick(u64),
     /// Kill the shard immediately after it writes checkpoint number `k`
     /// (1-based: the k-th checkpoint of the shard's timeline).

@@ -1,6 +1,6 @@
 //! The workspace's one min-heap idiom, [`MinQueue`], which backs the
-//! engine's event store ([`crate::engine::Engine`]), the sharded
-//! peak-active sweep and the batching server's busy queue.
+//! engine's event store ([`crate::engine::Engine`]), `SystemSim`'s
+//! active-session sweep and the batching server's busy queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,11 +68,6 @@ impl<T: Ord> MinQueue<T> {
     /// Keep only the values for which `keep` returns `true`.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         self.0.retain(|Reverse(v)| keep(v));
-    }
-
-    /// Every stored value, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.0.iter().map(|Reverse(v)| v)
     }
 }
 

@@ -1,15 +1,15 @@
 //! Deterministic checkpoint/restore for shard execution.
 //!
 //! A checkpoint is a complete still image of one shard's mid-run state,
-//! each fact stored once: the engine ([`crate::engine::FrozenEngine`] —
-//! clock, FIFO counter, stats, pending agenda in canonical order), the
-//! active and peak-active session counts ([`crate::system`]'s
-//! `CoreState`), the captured per-session scalars the merge folds (their
-//! count is the sessions served), and the metrics registry snapshot.
+//! each fact stored once: the peak active-session count, the captured
+//! per-session scalars the merge folds, and the metrics registry
+//! snapshot. Everything else is derived from the scalars on resume: the
+//! sweep's cursor is their count, and the sessions still playing are
+//! those whose end tick is at or after the last served arrival tick.
 //! Restoring one and running to completion produces **bitwise
 //! identical** artifacts to the uninterrupted run, because every value
-//! resumes with its exact bit pattern and every remaining event fires in
-//! the same `(tick, seq)` order (see `DESIGN.md` §14 for the full
+//! resumes with its exact bit pattern and the sweep serves the remaining
+//! requests and ends in the same order (see `DESIGN.md` §14 for the full
 //! argument).
 //!
 //! ## Wire format
@@ -36,17 +36,15 @@
 use sb_metrics::{
     FamilySnapshot, HistogramValue, MetricKind, MetricValue, SeriesSnapshot, Snapshot,
 };
-use vod_units::Ticks;
 
 use crate::agenda::AgendaKind;
-use crate::engine::{EngineStats, FrozenEngine};
 use crate::policy::PolicyError;
 use crate::shard::{SessionScalars, ShardSlice};
 use crate::sink::NullSink;
-use crate::system::{Checkpoints, CoreState, Ev, SystemSim};
+use crate::system::{ActiveSweep, Checkpoints, SweepOrder, SystemSim};
 
 /// Format version written (and the only one accepted) by this build.
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 
 /// Header magic.
 const MAGIC: &str = "SBCKPT";
@@ -58,8 +56,7 @@ const MAGIC: &str = "SBCKPT";
 /// ([`SystemSim::run_shard`]).
 #[derive(Debug, Clone)]
 pub struct CheckpointState {
-    pub(crate) frozen: FrozenEngine<Ev>,
-    pub(crate) core: CoreState,
+    pub(crate) peak_active: usize,
     pub(crate) scalars: Vec<SessionScalars>,
     pub(crate) snapshot: Snapshot,
 }
@@ -123,9 +120,9 @@ impl std::error::Error for CheckpointError {}
 /// What the supervisor's crash probe is shown.
 #[derive(Debug, Clone, Copy)]
 pub enum Probe<'a> {
-    /// About to handle the event popped at `tick`.
+    /// About to handle a session end or an arrival at `tick`.
     Event {
-        /// The popped event's tick.
+        /// The event's tick.
         tick: u64,
     },
     /// A checkpoint was just taken (and is handed over as `encoded` —
@@ -150,7 +147,7 @@ pub enum Verdict {
 /// Where and when a shard was killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Killed {
-    /// Engine tick at the kill point.
+    /// Tick at the kill point.
     pub tick: u64,
     /// Sessions the shard had served.
     pub sessions_done: u64,
@@ -202,7 +199,6 @@ impl std::error::Error for ShardCrash {}
 /// index and must only be recombined by the canonical ordered-replay
 /// merge.
 pub struct ShardRun {
-    pub(crate) stats: EngineStats,
     pub(crate) scalars: Vec<SessionScalars>,
     pub(crate) snapshot: Snapshot,
     pub(crate) checkpoints_taken: u64,
@@ -225,8 +221,9 @@ impl ShardRun {
 impl SystemSim<'_> {
     /// Run one shard slice as a restartable unit.
     ///
-    /// The engine pops events exactly as `execute` would for this slice;
-    /// `probe` is consulted before every event and after every checkpoint
+    /// The sweep serves the slice exactly as `execute` would; `probe` is
+    /// consulted before every session end and arrival and after every
+    /// checkpoint
     /// (taken every `checkpoint_every` served sessions), so a supervisor
     /// can inject deterministic crashes and collect checkpoint bytes.
     /// Passing `resume` continues from a previously collected checkpoint;
@@ -251,23 +248,18 @@ impl SystemSim<'_> {
         probe: &mut dyn FnMut(Probe<'_>) -> Verdict,
     ) -> Result<ShardRun, ShardCrash> {
         assert!(checkpoint_every > 0, "validated by the supervisor");
-        let resume = match resume {
-            Some(bytes) => {
-                let cp = decode_state(bytes).map_err(ShardCrash::Corrupt)?;
-                check_fits(&cp, slice.len()).map_err(ShardCrash::Corrupt)?;
-                Some(cp)
-            }
-            None => None,
-        };
         let checkpoints = Checkpoints {
             every: checkpoint_every,
             probe,
-            resume,
+            resume: resume
+                .map(decode_state)
+                .transpose()
+                .map_err(ShardCrash::Corrupt)?,
         };
         self.run_slice(slice, None, &mut NullSink, Some(checkpoints))
     }
 
-    /// Run one shard slice through the event loop with scalar capture and
+    /// Run one shard slice through the sweep with scalar capture and
     /// re-key the captured scalars by global request index: the
     /// [`ShardRun`] both `execute`'s sharded path and [`SystemSim::run_shard`]
     /// hand to the merge.
@@ -284,7 +276,6 @@ impl SystemSim<'_> {
             sc.idx = slice.global_idx()[sc.idx];
         }
         Ok(ShardRun {
-            stats: out.stats,
             scalars,
             snapshot: out.snapshot,
             checkpoints_taken: out.checkpoints_taken,
@@ -292,42 +283,53 @@ impl SystemSim<'_> {
     }
 }
 
-/// Check a decoded checkpoint against the slice it is about to resume:
-/// every pending `Arrive` names a request of the slice, no entry fires
-/// before the frozen clock or carries a sequence number the engine has
-/// not yet issued, and every captured scalar names a request of the
-/// slice. A checksum only proves the bytes are the ones written; this
-/// proves they can drive this shard without indexing out of range.
-fn check_fits(cp: &CheckpointState, slice_len: usize) -> Result<(), CheckpointError> {
-    let frozen = &cp.frozen;
-    for &(at, seq, ev) in &frozen.entries {
-        if let Ev::Arrive(pos) = ev {
-            if pos >= slice_len {
+impl CheckpointState {
+    /// Check this checkpoint against the slice it is about to resume and
+    /// rebuild the sweep's active sessions from it. The scalars must be
+    /// the slice's first requests in sweep order, each at its own arrival
+    /// tick, and the peak must cover the sessions still playing. A
+    /// checksum only proves the bytes are the ones written; this proves
+    /// they can drive this shard without indexing out of range or
+    /// resuming a sweep that never happened.
+    pub(crate) fn check_fits(
+        &self,
+        order: &SweepOrder<'_>,
+    ) -> Result<ActiveSweep, CheckpointError> {
+        if self.scalars.len() > order.len() {
+            return malformed(format!(
+                "scalars: {} sessions served from a slice of {} requests",
+                self.scalars.len(),
+                order.len()
+            ));
+        }
+        for (cursor, sc) in self.scalars.iter().enumerate() {
+            let pos = order.pos(cursor);
+            if (sc.idx, sc.tick) != (pos, order.tick(pos)) {
                 return malformed(format!(
-                    "entry.ev: arrival {pos} outside a slice of {slice_len} requests"
+                    "scalar.idx: session {cursor} is request {} at tick {}, but the sweep \
+                     serves request {pos} at tick {} there",
+                    sc.idx,
+                    sc.tick,
+                    order.tick(pos)
                 ));
             }
         }
-        if at < frozen.now {
+        let last = self.scalars.last().map_or(0, |sc| sc.tick);
+        let ends: Vec<u64> = self
+            .scalars
+            .iter()
+            .map(|sc| sc.end_tick)
+            .filter(|&end| end >= last)
+            .collect();
+        if self.peak_active < ends.len() {
             return malformed(format!(
-                "entry.at: tick {} before the frozen clock {}",
-                at.0, frozen.now.0
+                "peak_active: {} below the {} sessions still playing",
+                self.peak_active,
+                ends.len()
             ));
         }
-        if seq >= frozen.seq {
-            return malformed(format!(
-                "entry.seq: {seq} not below the next sequence number {}",
-                frozen.seq
-            ));
-        }
+        Ok(ActiveSweep::resume(ends, self.peak_active))
     }
-    if let Some(sc) = cp.scalars.iter().find(|sc| sc.idx >= slice_len) {
-        return malformed(format!(
-            "scalar.idx: request {} outside a slice of {slice_len} requests",
-            sc.idx
-        ));
-    }
-    Ok(())
 }
 
 // ---- encoding --------------------------------------------------------------
@@ -365,25 +367,6 @@ fn bits(f: f64) -> serde::Value {
 
 fn bits_arr(fs: &[f64]) -> serde::Value {
     serde::Value::Array(fs.iter().map(|&f| bits(f)).collect())
-}
-
-fn encode_ev(ev: Ev) -> serde::Value {
-    match ev {
-        // `Finish` is `null`, `Arrive(pos)` its position: the agenda is
-        // overwhelmingly `Finish` events mid-run, and `null` is short.
-        Ev::Finish => serde::Value::Null,
-        Ev::Arrive(pos) => uint(pos as u64),
-    }
-}
-
-fn encode_stats(s: &EngineStats) -> serde::Value {
-    obj(vec![
-        ("scheduled", uint(s.scheduled)),
-        ("fired", uint(s.fired)),
-        ("cancelled", uint(s.cancelled)),
-        ("peak_agenda", uint(s.peak_agenda)),
-        ("compactions", uint(s.compactions)),
-    ])
 }
 
 fn encode_snapshot(snap: &Snapshot) -> serde::Value {
@@ -438,39 +421,17 @@ fn encode_snapshot(snap: &Snapshot) -> serde::Value {
 }
 
 /// Serialize a checkpoint to its wire form (header + payload).
-pub(crate) fn encode_state(cp: &CheckpointState) -> Vec<u8> {
+pub(crate) fn encode_state(
+    peak_active: usize,
+    scalars: &[SessionScalars],
+    snapshot: &Snapshot,
+) -> Vec<u8> {
     let payload_value = obj(vec![
-        (
-            "engine",
-            obj(vec![
-                ("now", uint(cp.frozen.now.0)),
-                ("seq", uint(cp.frozen.seq)),
-                ("stats", encode_stats(&cp.frozen.stats)),
-                (
-                    "entries",
-                    serde::Value::Array(
-                        cp.frozen
-                            .entries
-                            .iter()
-                            .map(|&(at, seq, ev)| {
-                                serde::Value::Array(vec![uint(at.0), uint(seq), encode_ev(ev)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "core",
-            obj(vec![
-                ("active", uint(cp.core.active as u64)),
-                ("peak_active", uint(cp.core.peak_active as u64)),
-            ]),
-        ),
+        ("peak_active", uint(peak_active as u64)),
         (
             "scalars",
             serde::Value::Array(
-                cp.scalars
+                scalars
                     .iter()
                     .map(|sc| {
                         serde::Value::Array(vec![
@@ -487,7 +448,7 @@ pub(crate) fn encode_state(cp: &CheckpointState) -> Vec<u8> {
                     .collect(),
             ),
         ),
-        ("snapshot", encode_snapshot(&cp.snapshot)),
+        ("snapshot", encode_snapshot(snapshot)),
     ]);
     let payload = serde_json::to_string(&payload_value).expect("value serialization is total");
     let mut out = format!(
@@ -544,17 +505,6 @@ fn want_bits_arr(v: &serde::Value, what: &str) -> Result<Vec<f64>, CheckpointErr
 fn want_str<'a>(v: &'a serde::Value, what: &str) -> Result<&'a str, CheckpointError> {
     v.as_str()
         .ok_or_else(|| CheckpointError::Malformed(format!("{what}: expected string")))
-}
-
-fn decode_stats(v: &serde::Value) -> Result<EngineStats, CheckpointError> {
-    let o = want_obj(v, "engine.stats")?;
-    Ok(EngineStats {
-        scheduled: want_u64(serde::field(o, "scheduled"), "stats.scheduled")?,
-        fired: want_u64(serde::field(o, "fired"), "stats.fired")?,
-        cancelled: want_u64(serde::field(o, "cancelled"), "stats.cancelled")?,
-        peak_agenda: want_u64(serde::field(o, "peak_agenda"), "stats.peak_agenda")?,
-        compactions: want_u64(serde::field(o, "compactions"), "stats.compactions")?,
-    })
 }
 
 fn decode_snapshot(v: &serde::Value) -> Result<Snapshot, CheckpointError> {
@@ -662,37 +612,6 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
         .map_err(|e| CheckpointError::Malformed(format!("payload does not parse: {e}")))?;
     let root = want_obj(&value, "checkpoint")?;
 
-    let eo = want_obj(serde::field(root, "engine"), "engine")?;
-    let mut entries = Vec::new();
-    for ev in want_arr(serde::field(eo, "entries"), "engine.entries")? {
-        let triple = want_arr(ev, "engine entry")?;
-        let [at, seq, payload] = triple else {
-            return malformed("engine entry: expected [at, seq, ev]");
-        };
-        let ev = if payload.is_null() {
-            Ev::Finish
-        } else {
-            Ev::Arrive(want_usize(payload, "entry.ev")?)
-        };
-        entries.push((
-            Ticks(want_u64(at, "entry.at")?),
-            want_u64(seq, "entry.seq")?,
-            ev,
-        ));
-    }
-    let frozen = FrozenEngine {
-        now: Ticks(want_u64(serde::field(eo, "now"), "engine.now")?),
-        seq: want_u64(serde::field(eo, "seq"), "engine.seq")?,
-        stats: decode_stats(serde::field(eo, "stats"))?,
-        entries,
-    };
-
-    let co = want_obj(serde::field(root, "core"), "core")?;
-    let core = CoreState {
-        active: want_usize(serde::field(co, "active"), "core.active")?,
-        peak_active: want_usize(serde::field(co, "peak_active"), "core.peak_active")?,
-    };
-
     let mut scalars = Vec::new();
     for sv in want_arr(serde::field(root, "scalars"), "scalars")? {
         let row = want_arr(sv, "scalar row")?;
@@ -714,8 +633,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
     }
 
     Ok(CheckpointState {
-        frozen,
-        core,
+        peak_active: want_usize(serde::field(root, "peak_active"), "peak_active")?,
         scalars,
         snapshot: decode_snapshot(serde::field(root, "snapshot"))?,
     })
@@ -726,21 +644,17 @@ mod tests {
     use super::*;
     use sb_metrics::Registry;
 
+    fn encode(cp: &CheckpointState) -> Vec<u8> {
+        encode_state(cp.peak_active, &cp.scalars, &cp.snapshot)
+    }
+
     fn sample_state() -> CheckpointState {
-        let mut eng: crate::engine::Engine<Ev> = crate::engine::Engine::new();
-        eng.schedule_at(Ticks(3), Ev::Arrive(7));
-        eng.schedule_at(Ticks(9), Ev::Finish);
-        let _ = eng.next();
         let mut reg = Registry::new();
         reg.incr("n", &[("video", "3")], 2);
         reg.observe("lat", &[], 0.30000000000000004);
         reg.gauge_max("peak", &[], -0.0);
         CheckpointState {
-            frozen: eng.freeze(),
-            core: CoreState {
-                active: 1,
-                peak_active: 3,
-            },
+            peak_active: 3,
             // The printer-hostile cases: -0.0, a sum that prints long,
             // a subnormal-adjacent value.
             scalars: vec![SessionScalars {
@@ -760,17 +674,10 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_exact() {
         let cp = sample_state();
-        let bytes = encode_state(&cp);
+        let bytes = encode(&cp);
         let back = decode_state(&bytes).unwrap();
         assert_eq!(back.sessions_done(), 1);
-        assert_eq!(back.frozen.now, cp.frozen.now);
-        assert_eq!(back.frozen.seq, cp.frozen.seq);
-        assert_eq!(back.frozen.stats, cp.frozen.stats);
-        assert_eq!(back.frozen.entries, cp.frozen.entries);
-        assert_eq!(
-            (back.core.active, back.core.peak_active),
-            (cp.core.active, cp.core.peak_active)
-        );
+        assert_eq!(back.peak_active, cp.peak_active);
         // Bit patterns, not just values: -0.0 and friends must survive.
         for (a, b) in [
             (back.scalars[0].latency, cp.scalars[0].latency),
@@ -786,12 +693,12 @@ mod tests {
             "negative zero must not collapse to +0"
         );
         // And a re-encode of the decoded state is byte-identical.
-        assert_eq!(encode_state(&back), bytes);
+        assert_eq!(encode(&back), bytes);
     }
 
     #[test]
     fn every_corruption_is_rejected_with_the_right_error() {
-        let bytes = encode_state(&sample_state());
+        let bytes = encode(&sample_state());
         // Flip one payload byte → checksum.
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
@@ -814,7 +721,7 @@ mod tests {
             Err(CheckpointError::BadHeader(_))
         ));
         // A past or future version → unsupported.
-        for (digit, version) in [(b'1', 1), (b'9', 9)] {
+        for (digit, version) in [(b'1', 1), (b'2', 2), (b'9', 9)] {
             let mut other = bytes.clone();
             other[7] = digit;
             assert_eq!(

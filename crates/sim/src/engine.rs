@@ -98,27 +98,6 @@ pub struct EngineStats {
 /// entries cost less than the rebuild bookkeeping.
 pub(crate) const COMPACT_FLOOR: usize = 32;
 
-/// A still image of an [`Engine`]: the clock, the FIFO sequence
-/// counter, the lifetime stats, and every *live* pending entry in
-/// canonical `(at, seq)` order.
-///
-/// This is the checkpoint/restore primitive. The frozen form deliberately
-/// forgets heap layout and slab bookkeeping (slot indices, generations,
-/// free lists): none of them are observable through the engine's pop
-/// order or serialized stats, so the resumed run stays bitwise identical.
-#[derive(Debug, Clone)]
-pub struct FrozenEngine<E> {
-    /// The clock at freeze time.
-    pub now: Ticks,
-    /// Next schedule sequence number (monotonic, never reused).
-    pub seq: u64,
-    /// Lifetime counters at freeze time.
-    pub stats: EngineStats,
-    /// Live pending entries as `(at, seq, payload)`, sorted by
-    /// `(at, seq)`.
-    pub entries: Vec<(Ticks, u64, E)>,
-}
-
 /// One scheduled event as the heap stores it: the firing tick, the
 /// global FIFO tie-break sequence, the slab handle for liveness checks,
 /// and the payload. Ordered by `(at, seq)` only; `seq` is globally
@@ -271,62 +250,6 @@ impl<E> Engine<E> {
     /// Schedule `payload` after a delay from now.
     pub fn schedule_in(&mut self, delay: TickDuration, payload: E) -> EventId {
         self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Capture the engine's simulation-visible state as a
-    /// [`FrozenEngine`]: clock, sequence counter, stats, and the live
-    /// pending entries in canonical `(at, seq)` order. Stale (cancelled)
-    /// entries are not captured — they are an implementation artifact of
-    /// lazy cancellation, already counted in `stats.cancelled`.
-    #[must_use]
-    pub fn freeze(&self) -> FrozenEngine<E>
-    where
-        E: Clone,
-    {
-        let mut entries: Vec<(Ticks, u64, E)> = self
-            .agenda
-            .iter()
-            .filter(|e| self.id_live(e.id))
-            .map(|e| (e.at, e.seq, e.payload.clone()))
-            .collect();
-        entries.sort_by_key(|&(at, seq, _)| (at, seq));
-        debug_assert_eq!(entries.len(), self.live, "freeze must capture the live set");
-        FrozenEngine {
-            now: self.now,
-            seq: self.seq,
-            stats: self.stats,
-            entries,
-        }
-    }
-
-    /// Rebuild an engine from a [`FrozenEngine`].
-    ///
-    /// The thawed engine is in *canonical* form — a fresh slab with one
-    /// slot per pending entry and an empty free list — which is
-    /// indistinguishable from the original through every observable:
-    /// pop order (`(at, seq)` is preserved verbatim), `pending()`,
-    /// `stats()`, and the serialized artifacts derived from them.
-    #[must_use]
-    pub fn thaw(frozen: FrozenEngine<E>) -> Self {
-        let mut eng = Self::new();
-        eng.now = frozen.now;
-        eng.seq = frozen.seq;
-        eng.stats = frozen.stats;
-        for (i, (at, seq, payload)) in frozen.entries.into_iter().enumerate() {
-            let slot = u32::try_from(i).expect("agenda outgrew u32 slots");
-            eng.slots.push(Slot {
-                gen: 0,
-                occupied: true,
-            });
-            eng.agenda.push(Entry {
-                at,
-                seq,
-                id: EventId::new(slot, 0),
-                payload,
-            });
-            eng.live += 1;
-        }
-        eng
     }
 
     /// Cancel a pending event. Returns `true` if it had not yet fired.
@@ -643,53 +566,6 @@ mod tests {
         let mut fired = 0usize;
         eng.run(|_, _, _| fired += 1);
         assert_eq!(fired, live_target);
-    }
-
-    #[test]
-    fn freeze_thaw_preserves_order_stats_and_clock() {
-        // Run half the agenda, freeze, thaw, and check the tail fires
-        // identically (order, clock, stats) to an uninterrupted engine.
-        let mut reference: Engine<u32> = Engine::new();
-        let mut eng: Engine<u32> = Engine::new();
-        for e in [&mut reference, &mut eng] {
-            e.schedule_at(Ticks(5), 0);
-            e.schedule_at(Ticks(1), 1);
-            e.schedule_at(Ticks(5), 2); // same tick as 0, later seq
-            e.schedule_at(Ticks(9), 3);
-            let x = e.schedule_at(Ticks(7), 4);
-            assert!(e.cancel(x));
-            let _ = e.next(); // fires 1 at tick 1
-        }
-        let frozen = eng.freeze();
-        assert_eq!(frozen.now, Ticks(1));
-        assert_eq!(frozen.entries.len(), 3, "live entries only");
-        let mut thawed = Engine::thaw(frozen);
-        assert_eq!(thawed.pending(), 3);
-        assert_eq!(thawed.now(), Ticks(1));
-        // Tail replay matches the uninterrupted reference.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        reference.run(|_, at, p| a.push((at.0, p)));
-        thawed.run(|_, at, p| b.push((at.0, p)));
-        assert_eq!(a, b);
-        assert_eq!(reference.stats(), thawed.stats());
-        assert_eq!(reference.now(), thawed.now());
-        // The thawed engine keeps scheduling with fresh seqs.
-        thawed.schedule_at(thawed.now(), 9);
-        assert_eq!(thawed.pending(), 1);
-    }
-
-    #[test]
-    fn freeze_is_non_destructive() {
-        let mut eng: Engine<u8> = Engine::new();
-        eng.schedule_at(Ticks(3), 1);
-        eng.schedule_at(Ticks(1), 2);
-        let frozen = eng.freeze();
-        assert_eq!(frozen.entries.len(), 2);
-        // The engine itself is untouched by the freeze.
-        let mut seen = Vec::new();
-        eng.run(|_, _, p| seen.push(p));
-        assert_eq!(seen, vec![2, 1]);
     }
 
     #[test]

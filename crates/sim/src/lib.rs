@@ -2,7 +2,8 @@
 //!
 //! The executable substrate under the paper's evaluation: broadcast
 //! channels, per-scheme client policies, exact buffer accounting, fault
-//! injection, and a discrete-event engine for whole-system runs.
+//! injection, whole-system runs, and a discrete-event engine for the
+//! runs whose events interact.
 //!
 //! The paper's §4 and §5 are analytic. This crate exists to *check* that
 //! analysis: it takes the very same [`sb_core::plan::ChannelPlan`] objects
@@ -21,7 +22,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`engine`] | a small, deterministic discrete-event engine (tick clock, binary-heap agenda) |
-//! | [`agenda`] | [`agenda::MinQueue`], the min-heap behind the engine's agenda and the shard merge |
+//! | [`agenda`] | [`agenda::MinQueue`], the min-heap behind the engine's agenda and `SystemSim`'s active-session sweep |
 //! | [`checkpoint`] | versioned, checksummed shard checkpoints and the crash/restore probe protocol |
 //! | [`trace`] | the unified [`trace::SessionTrace`] every client model produces, and the [`trace::ClientModel`] trait |
 //! | [`schedule`] | client schedules: downloads, playback, and conversion to traces |
@@ -31,7 +32,7 @@
 //! | [`cycle_record`] | CTIFB's cycle-recording client and its channel-transition invariance property |
 //! | [`faults`] | broadcast-loss injection and stall accounting over traces |
 //! | [`sink`] | the [`sink::TraceSink`] streaming fold: aggregate populations without retaining traces |
-//! | [`system`] | many-client system simulation driven by the engine, generic over client models |
+//! | [`system`] | many-client system simulation as one ordered sweep (no engine), generic over client models |
 //! | [`run`] | the one run entry point: the [`run::RunConfig`] builder and [`run::RunOutcome`] |
 //! | [`shard`] | partitioned scale-out: seeded catalog sharding with byte-identical merge |
 //! | [`distribution`] | the distributed metro tier: cross-server routing, backbone capacity, peer-assisted delivery accounting |
@@ -96,7 +97,7 @@ pub use distribution::{
     route_catalog, DistributionConfig, RouteOutcome, SegmentWindow, SessionRecord,
 };
 pub use e2e::{replay, E2eReport, PacketConfig};
-pub use engine::{Engine, EngineStats, EventId, FrozenEngine};
+pub use engine::{Engine, EngineStats, EventId};
 pub use faults::{
     apply_losses, jitter_free_with_stalls, LossModel, LossProcess, Stall, StallReport,
 };
@@ -104,7 +105,7 @@ pub use pausing::{schedule_pausing_client, PausingSchedule};
 pub use policy::{schedule_client, ClientPolicy};
 pub use pool::parallel_map;
 pub use receive_all::{record_all, RecordingSchedule};
-pub use run::{ConfigError, RunConfig, RunOutcome, RunParts};
+pub use run::{RunConfig, RunOutcome, RunParts};
 pub use schedule::{ClientSchedule, Download, JitterViolation};
 pub use shard::{merge_shard_runs, plan_shards, shard_of, ShardSlice};
 pub use sink::{CollectTraces, FoldState, NullSink, SessionSummary, StreamingFold, TraceSink};

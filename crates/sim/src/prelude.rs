@@ -33,7 +33,7 @@ pub use crate::distribution::{
     route_catalog, DistributionConfig, RouteOutcome, SegmentWindow, SessionRecord,
 };
 pub use crate::engine::EngineStats;
-pub use crate::run::{ConfigError, RunConfig, RunOutcome, RunParts};
+pub use crate::run::{RunConfig, RunOutcome, RunParts};
 pub use crate::shard::{merge_shard_runs, plan_shards, shard_of, ShardSlice};
 pub use crate::sink::{CollectTraces, NullSink, SessionSummary, StreamingFold, TraceSink};
 pub use crate::system::{Request, SystemReport, SystemSim};

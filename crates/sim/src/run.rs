@@ -66,52 +66,12 @@ impl<'a, R> RunConfig<'a, R> {
     }
 }
 
-/// A [`RunConfig`] rejected up front by [`RunConfig::validate`] — the
-/// typed version of a mistake that would otherwise surface as a silent
-/// wrap deep inside a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The partition table names an owning shard outside `0..shards`.
-    ///
-    /// The base executor forgives this by wrapping (`owner % shards`,
-    /// so one table serves several shard counts); supervised runs
-    /// validate strictly because a wrapped owner under a *recovery*
-    /// scenario usually means the operator pinned a region to a shard
-    /// that does not exist.
-    PartitionOutOfRange {
-        /// Video id (index into the partition table).
-        video: usize,
-        /// The table's claimed owning shard.
-        owner: usize,
-        /// The run's shard count.
-        shards: usize,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::PartitionOutOfRange {
-                video,
-                owner,
-                shards,
-            } => write!(
-                f,
-                "partition table maps video {video} to shard {owner}, but the run has only \
-                 {shards} shard(s) (owners must lie in 0..{shards})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 impl<'a, R, F> RunConfig<'a, R, F> {
     /// Stream every finished session trace into `sink`.
     ///
     /// With `shards(1)` the sink observes traces as they finish, in
-    /// engine order, retaining nothing. With more shards the executor
-    /// must buffer each shard's traces to replay them in global engine
+    /// sweep order, retaining nothing. With more shards the executor
+    /// must buffer each shard's traces to replay them in global sweep
     /// order — prefer the built-in streamed summary (the outcome's
     /// `fold`) for large sharded populations.
     #[must_use]
@@ -190,30 +150,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         self
     }
 
-    /// Validate the knob combination up front, before any shard runs.
-    ///
-    /// Opt-in strictness for supervised/CLI entry points: the base
-    /// executor keeps its forgiving semantics (partition owners wrap by
-    /// `% shards`), while callers that validate get typed errors instead.
-    ///
-    /// # Errors
-    /// [`ConfigError::PartitionOutOfRange`] if the partition table names
-    /// an owner `>= shards`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if let Some(map) = self.partition {
-            for (video, &owner) in map.iter().enumerate() {
-                if owner >= self.shards {
-                    return Err(ConfigError::PartitionOutOfRange {
-                        video,
-                        owner,
-                        shards: self.shards,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Destructure into the executor-facing parts.
     #[must_use]
     pub fn into_parts(self) -> RunParts<'a, R, F> {
@@ -253,15 +189,18 @@ pub struct RunParts<'a, R, F> {
 /// Everything a system run produces, whatever the slot combination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
-    /// The engine-side report (identical to the historical
+    /// The run's report (identical to the historical
     /// `SystemSim::run` output).
     pub summary: SystemReport,
     /// The streamed population summary ([`crate::sink::StreamingFold`]
-    /// over every session, in global engine order).
+    /// over every session, in global sweep order).
     pub fold: SessionSummary,
     /// Engine statistics, summed across shards; `peak_agenda` is the
     /// *maximum* over shards (the largest single agenda anywhere) and is
     /// the one field that legitimately varies with the shard count.
+    /// `SystemSim` runs without an engine and reports the counts of the
+    /// one its sweep replaced: two events per session, none cancelled,
+    /// and a shard's session count as its agenda peak.
     pub stats: EngineStats,
     /// Each shard's agenda high-water mark, in shard order (`len ==
     /// shards`): the per-server memory story of a scale-out run.
@@ -309,36 +248,5 @@ mod tests {
     fn zero_shards_is_rejected() {
         let reqs: Vec<u8> = Vec::new();
         let _ = RunConfig::new(&reqs).shards(0);
-    }
-
-    #[test]
-    fn validate_accepts_the_defaults_and_sane_knobs() {
-        let reqs: Vec<u8> = vec![1];
-        assert_eq!(RunConfig::new(&reqs).validate(), Ok(()));
-        let map = [0usize, 1, 2];
-        assert_eq!(
-            RunConfig::new(&reqs).shards(3).partition(&map).validate(),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn validate_rejects_partition_owners_beyond_the_shard_count() {
-        let reqs: Vec<u8> = vec![1];
-        let map = [0usize, 5, 1];
-        let err = RunConfig::new(&reqs)
-            .shards(2)
-            .partition(&map)
-            .validate()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::PartitionOutOfRange {
-                video: 1,
-                owner: 5,
-                shards: 2
-            }
-        );
-        assert!(err.to_string().contains("video 1"));
     }
 }

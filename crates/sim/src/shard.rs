@@ -6,7 +6,7 @@
 //! across many. This module is that partitioned regime for every
 //! executor behind [`RunConfig`]: the catalog (and with it the arrival
 //! stream) is split by a seeded, stable hash of the video id, each
-//! shard runs its own engine + [`StreamingFold`] + metrics registry on
+//! shard runs its own sweep + [`StreamingFold`] + metrics registry on
 //! the deterministic scoped pool, and the per-shard results are merged
 //! **in a canonical order** so that the outcome is bitwise identical
 //! for any shard count and any thread count.
@@ -19,34 +19,34 @@
 //!    or the shard count of a previous run. Because every broadcast
 //!    channel in this workspace carries exactly one video, each metric
 //!    series (`…{video}`, `…{channel}`) lives on exactly one shard.
-//! 2. **Per-shard runs replay a subsequence of the global engine
-//!    order.** The engine pops by `(tick, schedule-seq)` and arrivals
-//!    are scheduled in slice order, so two requests on the same shard
-//!    fire in the same relative order as in the unsharded run.
+//! 2. **Per-shard runs serve a subsequence of the global sweep
+//!    order.** The sweep serves by `(tick, slice index)` and a shard's
+//!    slice keeps the global slice order, so two requests on the same
+//!    shard are served in the same relative order as in the unsharded
+//!    run.
 //! 3. **Merge = ordered replay.** Each shard captures one
 //!    `SessionScalars` per session — the exact floats the fold
 //!    consumes, keyed by `(arrival tick, global request index)`.
-//!    A k-way merge over those keys reconstructs the global engine
+//!    A k-way merge over those keys reconstructs the global sweep
 //!    order; replaying the scalars through one
 //!    [`StreamingFold::fold_scalars`] repeats the identical
 //!    floating-point operations in the identical order as `shards(1)`,
 //!    and the report is projected from that fold. Snapshots merge
 //!    in shard order (sums of disjoint series plus integer counters),
 //!    and the one global quantity a shard cannot see — peak
-//!    simultaneously-active sessions — is recomputed exactly from the
-//!    merged `(arrival, end)` intervals and patched in last (gauges
-//!    merge by `max`, and the global peak dominates every shard's).
+//!    simultaneously-active sessions — is recomputed exactly by the
+//!    serial run's `ActiveSweep` over the merged `(arrival, end)`
+//!    intervals and patched in last (gauges merge by `max`, and the
+//!    global peak dominates every shard's).
 
 use sb_metrics::{OpLog, Recorder, Registry, Snapshot};
 
-use crate::agenda::MinQueue;
 use crate::checkpoint::{ShardCrash, ShardRun};
-use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::pool::parallel_map;
 use crate::run::{RunConfig, RunOutcome};
 use crate::sink::{CollectTraces, NullSink, SessionSummary, StreamingFold, TeeSink, TraceSink};
-use crate::system::{Request, SystemReport, SystemSim};
+use crate::system::{sweep_stats, ActiveSweep, Request, SystemReport, SystemSim};
 
 /// The shard owning `key` (a video id) under `seed`, for `shards`
 /// servers: a full-avalanche splitmix64 finalizer, so consecutive video
@@ -72,7 +72,7 @@ pub fn shard_of(key: u64, seed: u64, shards: usize) -> usize {
 /// streaming path's ~8 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SessionScalars {
-    /// Arrival tick (engine time the session fired).
+    /// Arrival tick (the sweep time the session was served).
     pub tick: u64,
     /// Request index. Local to the shard slice inside `run_core`;
     /// rewritten to the global index before merging.
@@ -94,7 +94,7 @@ pub(crate) struct SessionScalars {
 /// One shard's slice of the request stream: the requests it owns, in
 /// global arrival order, plus each request's index in the global slice
 /// (the merge key that lets the ordered replay reconstruct the
-/// unsharded engine order).
+/// unsharded sweep order).
 #[derive(Debug, Clone)]
 pub struct ShardSlice {
     requests: Vec<Request>,
@@ -177,7 +177,7 @@ fn merge_err(shard: usize, label: &str, what: impl Into<String>) -> PolicyError 
 
 /// The canonical ordered-replay merge: a k-way merge of per-shard scalar
 /// streams by `(arrival tick, global index)`, folding each session's
-/// scalars into one [`StreamingFold`] in the global engine order — the
+/// scalars into one [`StreamingFold`] in the global sweep order — the
 /// identical floating-point statements, in the identical order, as the
 /// serial path's fold. Returns the fold's summary and the global peak of
 /// simultaneously active sessions. `on_session` is called once per
@@ -192,8 +192,7 @@ fn replay_merge(
     mut on_session: impl FnMut(usize, usize) -> Result<(), PolicyError>,
 ) -> Result<(SessionSummary, usize), PolicyError> {
     let mut fold = StreamingFold::new();
-    let mut peak_active = 0usize;
-    let mut ends: MinQueue<u64> = MinQueue::new();
+    let mut sweep = ActiveSweep::default();
     let mut cursors = vec![0usize; streams.len()];
     loop {
         let mut best: Option<(u64, usize, usize)> = None;
@@ -216,15 +215,9 @@ fn replay_merge(
         };
         debug_assert_eq!((sc.tick, sc.idx), (tick, idx));
         on_session(pos, cursors[pos])?;
-        // Global active-session sweep. A `Finish` at tick T fires
-        // after every arrival at T (arrivals are scheduled first and
-        // the engine breaks ties by schedule order), so only ends
-        // *strictly* before this arrival leave the active set.
-        while ends.peek().is_some_and(|&e| e < tick) {
-            ends.pop();
-        }
-        ends.push(sc.end_tick);
-        peak_active = peak_active.max(ends.len());
+        // The global active-session sweep, with the shards' tie rule.
+        while sweep.pop_end(Some(tick)).is_some() {}
+        sweep.arrive(sc.end_tick);
         fold.fold_scalars(
             sc.latency,
             sc.peak_buffer,
@@ -234,7 +227,7 @@ fn replay_merge(
         );
         cursors[pos] += 1;
     }
-    Ok((fold.finish(), peak_active))
+    Ok((fold.finish(), sweep.peak()))
 }
 
 /// Check that `incoming` can merge into `acc` without tripping
@@ -317,7 +310,7 @@ pub fn merge_shard_runs(
 }
 
 /// The one merge behind [`merge_shard_runs`] and `execute`'s sharded
-/// path: the ordered replay, the engine-stats sum and the snapshot merge.
+/// path: the ordered replay and the snapshot merge.
 /// `on_session` is [`replay_merge`]'s per-session hook, its stream
 /// position being the run's rank in shard order.
 fn merge_runs(
@@ -340,32 +333,31 @@ fn merge_runs(
         .map(|(s, r)| (*s, r.scalars.as_slice()))
         .collect();
     let (fold, peak_active) = replay_merge(&streams, label, on_session)?;
-
-    let mut stats = EngineStats::default();
-    let mut shard_peak_agenda = Vec::with_capacity(runs.len());
-    let mut shard_sessions = Vec::with_capacity(runs.len());
-    for (_, r) in &runs {
-        stats.scheduled += r.stats.scheduled;
-        stats.fired += r.stats.fired;
-        stats.cancelled += r.stats.cancelled;
-        stats.compactions += r.stats.compactions;
-        stats.peak_agenda = stats.peak_agenda.max(r.stats.peak_agenda);
-        shard_peak_agenda.push(r.stats.peak_agenda);
-        shard_sessions.push(r.scalars.len());
-    }
     let snapshot = merge_snapshots(
         runs.iter().map(|(s, r)| (*s, &r.snapshot)),
         peak_active,
         label,
     )?;
-    Ok(RunOutcome {
+    let shard_sessions = runs.iter().map(|(_, r)| r.scalars.len()).collect();
+    Ok(outcome(fold, peak_active, shard_sessions, snapshot))
+}
+
+/// The outcome of a run whose sessions folded into `fold`, with its
+/// engine counters derived from the sessions each shard served.
+fn outcome(
+    fold: SessionSummary,
+    peak_active: usize,
+    shard_sessions: Vec<usize>,
+    snapshot: Snapshot,
+) -> RunOutcome {
+    RunOutcome {
         summary: SystemReport::project(&fold, peak_active),
         fold,
-        stats,
-        shard_peak_agenda,
+        stats: sweep_stats(&shard_sessions),
+        shard_peak_agenda: shard_sessions.iter().map(|&n| n as u64).collect(),
         shard_sessions,
         snapshot,
-    })
+    }
 }
 
 /// The policy error behind a crash of an `execute` run, which has no
@@ -402,7 +394,7 @@ impl SystemSim<'_> {
         self.execute_sharded(parts)
     }
 
-    /// The unsharded fast path: one engine, traces streamed straight
+    /// The unsharded fast path: one sweep, traces streamed straight
     /// through the fold (and the caller's sink), nothing buffered.
     fn execute_serial(
         &self,
@@ -422,18 +414,15 @@ impl SystemSim<'_> {
             None => self.run_core(requests, false, recorder, &mut fold, None),
         }
         .map_err(policy_error)?;
-        let fold = fold.finish();
-        Ok(RunOutcome {
-            summary: SystemReport::project(&fold, out.peak_active),
-            fold,
-            shard_peak_agenda: vec![out.stats.peak_agenda],
-            shard_sessions: vec![requests.len()],
-            stats: out.stats,
-            snapshot: out.snapshot,
-        })
+        Ok(outcome(
+            fold.finish(),
+            out.peak_active,
+            vec![requests.len()],
+            out.snapshot,
+        ))
     }
 
-    /// The partitioned path: one engine per shard on the deterministic
+    /// The partitioned path: one sweep per shard on the deterministic
     /// pool, then the ordered-replay merge described in the module docs.
     fn execute_sharded(
         &self,
@@ -465,7 +454,7 @@ impl SystemSim<'_> {
         }
 
         // Ordered replay: k-way merge by (arrival tick, global index)
-        // reconstructs the unsharded engine order exactly, feeding the
+        // reconstructs the unsharded sweep order exactly, feeding the
         // user's trace sink one session at a time along the way.
         let mut user_sink = parts.sink;
         let outcome = merge_runs(runs, LABEL, |s, cursor| {

@@ -125,7 +125,7 @@ impl StreamingFold {
     /// operations [`TraceSink::accept`] performs, in the same order.
     ///
     /// The sharded runner captures these five scalars per session inside
-    /// each shard and replays them here in global engine order, which is
+    /// each shard and replays them here in global sweep order, which is
     /// what makes an `S`-shard fold bitwise identical to the one-shard
     /// streaming fold (see `sim::shard`).
     pub fn fold_scalars(

@@ -5,8 +5,15 @@
 //! bandwidth whether one client or a million watch. What varies with load
 //! is the client-side picture: how many sessions are active, what startup
 //! latencies the population experiences, how much buffer the worst client
-//! of the day needed. [`SystemSim`] drives a stream of arrivals through
-//! the [`crate::engine`] and aggregates exactly those statistics.
+//! of the day needed. [`SystemSim`] aggregates exactly those statistics.
+//!
+//! Clients under periodic broadcast never interact, so a run needs no
+//! event engine: it is one ordered sweep. The requests are served in
+//! `(arrival tick, slice index)` order, and an `ActiveSweep` keeps the
+//! end ticks of the sessions still playing, popping those strictly
+//! before each arrival and draining the rest after the last one. The
+//! serial run, each shard, a resumed checkpoint and the shard merge all
+//! share that sweep.
 //!
 //! The simulation is scheme-agnostic: any [`ClientModel`] — a
 //! [`crate::policy::ClientPolicy`] for the tune-at-start schemes, a
@@ -21,8 +28,9 @@ use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
 use sb_core::plan::{ChannelPlan, VideoId};
 
+use crate::agenda::MinQueue;
 use crate::checkpoint::{encode_state, CheckpointState, Probe, ShardCrash, Verdict};
-use crate::engine::{Engine, EngineStats};
+use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
 use crate::sink::{SessionSummary, TraceSink};
@@ -58,20 +66,10 @@ pub struct SystemReport {
     pub delivered_minutes: Minutes,
 }
 
-/// Engine events for the system run. `Arrive` carries the request's
-/// position in the run's slice so the sharded executor can key captured
-/// per-session scalars by a stable index. `Clone`/`Copy` so a pending
-/// agenda can be frozen into a checkpoint (see [`crate::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ev {
-    Arrive(usize),
-    Finish,
-}
-
 impl SystemReport {
     /// The report of a run whose sessions folded into `fold`: every field
     /// is the fold's but the peak active-session count, which only the
-    /// engine (or the merge's interval sweep) sees.
+    /// active-session sweep sees.
     pub(crate) fn project(fold: &SessionSummary, peak_active_sessions: usize) -> Self {
         Self {
             sessions: fold.sessions,
@@ -86,13 +84,109 @@ impl SystemReport {
     }
 }
 
-/// The engine-side counters of one simulation core. Every per-session
-/// statistic lives in the run's [`crate::sink::StreamingFold`] (or in the
-/// captured [`SessionScalars`] the merge folds), never here.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CoreState {
-    pub(crate) active: usize,
-    pub(crate) peak_active: usize,
+/// The active-session sweep every [`SystemSim`] path shares — the
+/// serial run, each shard, a resumed checkpoint and the shard merge: the
+/// end ticks of the sessions still playing, and the peak of their count.
+/// Its one tie rule: a session ending at tick `T` is still active for
+/// every arrival at `T`, so only ends *strictly* before an arrival leave
+/// the active set ahead of it.
+#[derive(Debug, Default)]
+pub(crate) struct ActiveSweep {
+    ends: MinQueue<u64>,
+    peak: usize,
+}
+
+impl ActiveSweep {
+    /// A sweep resumed with `ends` still playing and `peak` as the
+    /// high-water mark so far.
+    pub(crate) fn resume(ends: impl IntoIterator<Item = u64>, peak: usize) -> Self {
+        let mut sweep = Self {
+            ends: MinQueue::new(),
+            peak,
+        };
+        for end in ends {
+            sweep.ends.push(end);
+        }
+        sweep
+    }
+
+    /// Pop the earliest active end strictly before `tick`, or any active
+    /// end for `None` (the drain after the last arrival).
+    pub(crate) fn pop_end(&mut self, before: Option<u64>) -> Option<u64> {
+        let &end = self.ends.peek()?;
+        if before.is_some_and(|tick| end >= tick) {
+            return None;
+        }
+        self.ends.pop()
+    }
+
+    /// Start a session whose playback ends at `end_tick`.
+    pub(crate) fn arrive(&mut self, end_tick: u64) {
+        self.ends.push(end_tick);
+        self.peak = self.peak.max(self.ends.len());
+    }
+
+    /// The largest number of sessions active at once so far.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
+    }
+}
+
+/// A request slice in sweep order: by arrival tick, ties by slice index.
+/// A slice whose ticks are already non-decreasing is walked as is;
+/// anything else gets one stable index sort up front.
+pub(crate) struct SweepOrder<'r> {
+    requests: &'r [Request],
+    scale: TickScale,
+    sorted: Option<Vec<usize>>,
+}
+
+impl<'r> SweepOrder<'r> {
+    fn new(requests: &'r [Request], scale: TickScale) -> Self {
+        let mut order = Self {
+            requests,
+            scale,
+            sorted: None,
+        };
+        if (1..requests.len()).any(|i| order.tick(i - 1) > order.tick(i)) {
+            let mut sorted: Vec<usize> = (0..requests.len()).collect();
+            sorted.sort_by_key(|&pos| order.tick(pos));
+            order.sorted = Some(sorted);
+        }
+        order
+    }
+
+    /// Number of requests.
+    pub(crate) fn len(&self) -> usize {
+        self.requests.len()
+    }
+
+    /// The slice index of the request served `cursor`-th.
+    pub(crate) fn pos(&self, cursor: usize) -> usize {
+        self.sorted.as_ref().map_or(cursor, |sorted| sorted[cursor])
+    }
+
+    /// The arrival tick of the request at slice index `pos`.
+    pub(crate) fn tick(&self, pos: usize) -> u64 {
+        (Ticks::ZERO + self.scale.duration_from_minutes(self.requests[pos].at)).0
+    }
+}
+
+/// The engine counters a [`SystemSim`] run reports for shards serving
+/// `shard_sessions` sessions each. They are the counts of the event
+/// engine the sweep replaced: one arrival and one end per session, none
+/// cancelled, and a shard's whole pending set — its unserved arrivals
+/// plus its active ends, which start at `n` and never grow — as the
+/// largest agenda.
+pub(crate) fn sweep_stats(shard_sessions: &[usize]) -> EngineStats {
+    let total: u64 = shard_sessions.iter().map(|&n| n as u64).sum();
+    EngineStats {
+        scheduled: 2 * total,
+        fired: 2 * total,
+        cancelled: 0,
+        peak_agenda: shard_sessions.iter().max().map_or(0, |&n| n as u64),
+        compactions: 0,
+    }
 }
 
 /// The checkpoint hooks of [`SystemSim::run_core`]: take a checkpoint
@@ -104,9 +198,25 @@ pub(crate) struct Checkpoints<'p> {
     pub(crate) resume: Option<CheckpointState>,
 }
 
+/// Show the kill probe, if any, the event at `tick`; a kill ends the
+/// attempt with `done` sessions served and `taken` checkpoints taken.
+fn probe_event(
+    checkpoints: &mut Option<Checkpoints<'_>>,
+    tick: u64,
+    done: usize,
+    taken: u64,
+) -> Result<(), ShardCrash> {
+    let Some(ck) = checkpoints else {
+        return Ok(());
+    };
+    match (ck.probe)(Probe::Event { tick }) {
+        Verdict::Kill => Err(ShardCrash::killed(tick, done as u64, taken)),
+        Verdict::Continue => Ok(()),
+    }
+}
+
 /// What [`SystemSim::run_core`] returns on completion.
 pub(crate) struct CoreOut {
-    pub(crate) stats: EngineStats,
     pub(crate) peak_active: usize,
     pub(crate) scalars: Vec<SessionScalars>,
     pub(crate) snapshot: Snapshot,
@@ -141,16 +251,18 @@ impl<'a> SystemSim<'a> {
         self
     }
 
-    /// The one event loop every execution path runs.
+    /// The one loop every execution path runs: an ordered sweep.
     ///
-    /// Drives `requests` through an engine, streaming traces into `sink`
-    /// and metric events into the core's own registry and, when given,
-    /// into `rec` as well. With `capture` it also keeps one
-    /// [`SessionScalars`] per served session in engine (pop) order — the
-    /// ordered-replay merge's input; the serial path streams without
-    /// them. `checkpoints` (which needs `capture`) adds the supervisor's
-    /// hooks: resume, a checkpoint every `every` sessions, and the kill
-    /// probe.
+    /// Serves `requests` in [`SweepOrder`], popping the session ends
+    /// strictly before each arrival off an [`ActiveSweep`] and draining
+    /// the rest after the last one. Traces stream into `sink`, metric
+    /// events into the core's own registry and, when given, into `rec`
+    /// as well. With `capture` it also keeps one [`SessionScalars`] per
+    /// served session in sweep order — the ordered-replay merge's input;
+    /// the serial path streams without them. `checkpoints` (which needs
+    /// `capture`) adds the supervisor's hooks: resume, a checkpoint every
+    /// `every` sessions, and the kill probe, shown each popped end and
+    /// each arrival.
     pub(crate) fn run_core(
         &self,
         requests: &[Request],
@@ -159,35 +271,30 @@ impl<'a> SystemSim<'a> {
         sink: &mut dyn TraceSink,
         mut checkpoints: Option<Checkpoints<'_>>,
     ) -> Result<CoreOut, ShardCrash> {
-        let (mut engine, mut state, mut reg, mut scalars) =
+        let order = SweepOrder::new(requests, self.scale);
+        // The cursor is the number of scalars captured: zero unless resumed.
+        let (mut sweep, mut reg, mut scalars) =
             match checkpoints.as_mut().and_then(|c| c.resume.take()) {
                 Some(cp) => (
-                    Engine::thaw(cp.frozen),
-                    cp.core,
+                    cp.check_fits(&order).map_err(ShardCrash::Corrupt)?,
                     Registry::from_snapshot(&cp.snapshot),
                     cp.scalars,
                 ),
-                None => {
-                    let mut engine: Engine<Ev> = Engine::new();
-                    for (pos, r) in requests.iter().enumerate() {
-                        engine.schedule_at(
-                            Ticks::ZERO + self.scale.duration_from_minutes(r.at),
-                            Ev::Arrive(pos),
-                        );
-                    }
-                    let scalars = Vec::with_capacity(if capture { requests.len() } else { 0 });
-                    (engine, CoreState::default(), Registry::new(), scalars)
-                }
+                None => (
+                    ActiveSweep::default(),
+                    Registry::new(),
+                    Vec::with_capacity(if capture { requests.len() } else { 0 }),
+                ),
             };
         let index = self.plan.index();
-        let mut checkpoints_taken = 0u64;
-        while let Some((at, ev)) = engine.next() {
-            if let Some(ck) = checkpoints.as_mut() {
-                if let Verdict::Kill = (ck.probe)(Probe::Event { tick: at.0 }) {
-                    let done = scalars.len() as u64;
-                    return Err(ShardCrash::killed(at.0, done, checkpoints_taken));
-                }
+        let mut taken = 0u64;
+        for cursor in scalars.len()..order.len() {
+            let pos = order.pos(cursor);
+            let tick = order.tick(pos);
+            while let Some(end) = sweep.pop_end(Some(tick)) {
+                probe_event(&mut checkpoints, end, cursor, taken)?;
             }
+            probe_event(&mut checkpoints, tick, cursor, taken)?;
             let mut tee;
             let r: &mut dyn Recorder = match rec.as_deref_mut() {
                 Some(b) => {
@@ -197,46 +304,32 @@ impl<'a> SystemSim<'a> {
                 None => &mut reg,
             };
             let cap = if capture { Some(&mut scalars) } else { None };
-            let served = self
-                .handle_event(
-                    &mut state,
-                    &mut engine,
-                    at,
-                    ev,
-                    &index,
-                    requests,
-                    r,
-                    sink,
-                    cap,
-                )
+            let end = self
+                .serve(tick, pos, requests[pos], &index, r, sink, cap)
                 .map_err(ShardCrash::Policy)?;
-            let Some(ck) = checkpoints.as_mut().filter(|_| served) else {
+            sweep.arrive(end);
+            let done = cursor as u64 + 1;
+            let Some(ck) = checkpoints.as_mut().filter(|ck| done % ck.every == 0) else {
                 continue;
             };
-            let sessions_done = scalars.len() as u64;
-            if sessions_done % ck.every == 0 {
-                let encoded = encode_state(&CheckpointState {
-                    frozen: engine.freeze(),
-                    core: state.clone(),
-                    scalars: scalars.clone(),
-                    snapshot: reg.snapshot(),
-                });
-                checkpoints_taken += 1;
-                let index = sessions_done / ck.every;
-                if let Verdict::Kill = (ck.probe)(Probe::Checkpoint {
-                    index,
-                    encoded: &encoded,
-                }) {
-                    return Err(ShardCrash::killed(at.0, sessions_done, checkpoints_taken));
-                }
+            let encoded = encode_state(sweep.peak(), &scalars, &reg.snapshot());
+            taken += 1;
+            if let Verdict::Kill = (ck.probe)(Probe::Checkpoint {
+                index: done / ck.every,
+                encoded: &encoded,
+            }) {
+                return Err(ShardCrash::killed(tick, done, taken));
             }
         }
-        let stats = engine.stats();
+        while let Some(end) = sweep.pop_end(None) {
+            probe_event(&mut checkpoints, end, order.len(), taken)?;
+        }
+        let stats = sweep_stats(&[order.len()]);
         for r in [Some(&mut reg as &mut dyn Recorder), rec]
             .into_iter()
             .flatten()
         {
-            r.gauge_max("sim_peak_active_sessions", &[], state.peak_active as f64);
+            r.gauge_max("sim_peak_active_sessions", &[], sweep.peak() as f64);
             for (kind, n) in [
                 ("scheduled", stats.scheduled),
                 ("fired", stats.fired),
@@ -246,46 +339,33 @@ impl<'a> SystemSim<'a> {
             }
         }
         Ok(CoreOut {
-            stats,
-            peak_active: state.peak_active,
+            peak_active: sweep.peak(),
             scalars,
             snapshot: reg.snapshot(),
-            checkpoints_taken,
+            checkpoints_taken: taken,
         })
     }
 
-    /// Handle one engine event — the exact per-session statements (and
-    /// float order) every execution path shares; bitwise identity between
-    /// serial, sharded and checkpoint-resumed runs rests on this being
-    /// the *only* copy of them. Returns `true` when a session was served
-    /// (the checkpoint cadence counts served sessions).
+    /// Serve request `r` (slice index `pos`) arriving at `tick` — the
+    /// exact per-session statements (and float order) every execution
+    /// path shares; bitwise identity between serial, sharded and
+    /// checkpoint-resumed runs rests on this being the *only* copy of
+    /// them. Returns the tick the session's playback ends.
     #[allow(clippy::too_many_arguments)]
-    fn handle_event(
+    fn serve(
         &self,
-        state: &mut CoreState,
-        eng: &mut Engine<Ev>,
-        at: Ticks,
-        ev: Ev,
+        tick: u64,
+        pos: usize,
+        r: Request,
         index: &sb_core::plan::PlanIndex<'_>,
-        requests: &[Request],
         rec: &mut dyn Recorder,
         sink: &mut dyn TraceSink,
         capture: Option<&mut Vec<SessionScalars>>,
-    ) -> Result<bool, PolicyError> {
-        let pos = match ev {
-            Ev::Arrive(pos) => pos,
-            Ev::Finish => {
-                state.active = state.active.saturating_sub(1);
-                return Ok(false);
-            }
-        };
-        let r = requests[pos];
+    ) -> Result<u64, PolicyError> {
         let s = self
             .model
             .session_indexed(index, r.video, r.at, self.display_rate)?;
         sink.accept(&s);
-        state.active += 1;
-        state.peak_active = state.peak_active.max(state.active);
         let lat = s.startup_latency();
         let end = s.playback_end();
         let video = r.video.0.to_string();
@@ -301,14 +381,14 @@ impl<'a> SystemSim<'a> {
                 rx.duration.value(),
             );
         }
-        let end_at = Ticks::ZERO + self.scale.duration_from_minutes(end);
+        let end_tick = (Ticks::ZERO + self.scale.duration_from_minutes(end)).0;
         if let Some(cap) = capture {
             // The floats `StreamingFold::accept` folds, computed by the
             // same expressions, so the merge's replay is bit-identical.
             cap.push(SessionScalars {
-                tick: at.0,
+                tick,
                 idx: pos,
-                end_tick: end_at.0,
+                end_tick,
                 latency: lat.value(),
                 peak_buffer: s.peak_buffer().value(),
                 total_received: s.total_received().value(),
@@ -316,8 +396,7 @@ impl<'a> SystemSim<'a> {
                 max_streams: s.max_concurrent_receptions(),
             });
         }
-        eng.schedule_at(end_at, Ev::Finish);
-        Ok(true)
+        Ok(end_tick)
     }
 }
 
@@ -436,7 +515,7 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-        // And they agree with the engine-side report where they overlap.
+        // And they agree with the run's report where they overlap.
         assert_eq!(a.sessions, bare.sessions);
         assert_eq!(a.mean_latency, bare.mean_latency);
         assert_eq!(a.p50_latency, bare.p50_latency);

@@ -164,37 +164,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Set column `col` of one row of the SBCKPT table at `path` to `value`
-/// and re-seal the bytes under the header's own version with a valid
-/// checksum and length, as a forger would. The row is the first one, or
-/// with `arrival_only` the first whose event column (2) holds an
-/// `Arrive` index (`Finish` is `null`).
-fn forge(bytes: &[u8], path: &str, arrival_only: bool, col: usize, value: u64) -> Vec<u8> {
+/// Apply `edit` to the SBCKPT payload and re-seal the bytes under the
+/// header's own version with a valid checksum and length, as a forger
+/// would.
+fn forge(bytes: &[u8], edit: impl FnOnce(&mut Vec<(String, serde::Value)>)) -> Vec<u8> {
     let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
     let header = std::str::from_utf8(&bytes[..nl]).unwrap();
     let version = header.split(' ').nth(1).unwrap();
     let mut root: serde::Value =
         serde_json::from_str(std::str::from_utf8(&bytes[nl + 1..]).unwrap()).unwrap();
-    let mut node = &mut root;
-    for key in path.split('.') {
-        let serde::Value::Object(fields) = node else {
-            panic!("{key}: parent is not an object")
-        };
-        node = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
-    }
-    let serde::Value::Array(rows) = node else {
-        panic!("{path} is not an array")
+    let serde::Value::Object(fields) = &mut root else {
+        panic!("the payload is not an object")
     };
-    let row = rows
-        .iter_mut()
-        .find_map(|r| match r {
-            serde::Value::Array(r) if !arrival_only || matches!(r[2], serde::Value::UInt(_)) => {
-                Some(r)
-            }
-            _ => None,
-        })
-        .expect("a row to forge");
-    row[col] = serde::Value::UInt(value);
+    edit(fields);
     let payload = serde_json::to_string(&root).unwrap();
     let mut out = format!(
         "SBCKPT {version} {:016x} {}\n",
@@ -206,10 +188,31 @@ fn forge(bytes: &[u8], path: &str, arrival_only: bool, col: usize, value: u64) -
     out
 }
 
-/// A checksum-valid checkpoint whose engine entries or scalars do not fit
-/// the slice is rejected as corrupt before anything runs, never a panic.
+/// The payload field `key`.
+fn field<'a>(fields: &'a mut [(String, serde::Value)], key: &str) -> &'a mut serde::Value {
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
+/// The payload's scalar rows.
+fn scalar_rows(fields: &mut [(String, serde::Value)]) -> &mut Vec<serde::Value> {
+    let serde::Value::Array(rows) = field(fields, "scalars") else {
+        panic!("scalars is not an array")
+    };
+    rows
+}
+
+/// Set column `col` of the first scalar row to `value`.
+fn set_first_scalar(fields: &mut [(String, serde::Value)], col: usize, value: u64) {
+    let serde::Value::Array(row) = &mut scalar_rows(fields)[0] else {
+        panic!("a scalar row is not an array")
+    };
+    row[col] = serde::Value::UInt(value);
+}
+
+/// A checksum-valid checkpoint whose scalars or peak do not fit the
+/// slice is rejected as corrupt before anything runs, never a panic.
 #[test]
-fn forged_engine_entries_are_rejected_as_corrupt() {
+fn forged_scalar_rows_are_rejected_as_corrupt() {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));
     let plan = Skyscraper::with_width(Width::Capped(52))
         .plan(&cfg)
@@ -229,19 +232,26 @@ fn forged_engine_entries_are_rejected_as_corrupt() {
     assert!(matches!(first, Err(ShardCrash::Killed(_))));
     let bytes = captured.expect("the first checkpoint was captured");
 
-    for (what, path, arrival_only, col, value) in [
-        ("arrival index", "engine.entries", true, 2, 1_000_000_000),
-        ("tick before the clock", "engine.entries", false, 0, 0),
-        (
-            "unissued sequence number",
-            "engine.entries",
-            false,
-            1,
-            u64::MAX,
-        ),
-        ("scalar request index", "scalars", false, 1, 1_000_000_000),
-    ] {
-        let forged = forge(&bytes, path, arrival_only, col, value);
+    type Edit = fn(&mut Vec<(String, serde::Value)>);
+    let forgeries: [(&str, Edit); 5] = [
+        ("more scalars than the slice holds", |f| {
+            let rows = scalar_rows(f);
+            let first = rows[0].clone();
+            rows.resize(101, first);
+        }),
+        ("a scalar out of sweep order", |f| set_first_scalar(f, 1, 1)),
+        ("a scalar request index outside the slice", |f| {
+            set_first_scalar(f, 1, 1_000_000_000)
+        }),
+        ("a scalar at another arrival tick", |f| {
+            set_first_scalar(f, 0, u64::MAX)
+        }),
+        ("a peak below the sessions still playing", |f| {
+            *field(f, "peak_active") = serde::Value::UInt(0)
+        }),
+    ];
+    for (what, edit) in forgeries {
+        let forged = forge(&bytes, edit);
         let mut quiet = |_: Probe<'_>| Verdict::Continue;
         match sim.run_shard(&slices[0], AgendaKind::Heap, 10, Some(&forged), &mut quiet) {
             Err(ShardCrash::Corrupt(CheckpointError::Malformed(_))) => {}
