@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 use vod_units::Minutes;
 
 use sb_control::{ControlConfig, ControlPolicy, ControlReport, ControlledSim};
-use sb_core::error::Result;
-use sb_metrics::{Recorder, Registry, Snapshot};
+use sb_core::error::{Result, SchemeError};
+use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
 use sb_sim::RunConfig;
 use sb_workload::{Catalog, Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
 
@@ -103,22 +103,14 @@ struct PolicyLabeled<'a> {
 }
 
 impl Recorder for PolicyLabeled<'_> {
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
         let mut l = labels.to_vec();
         l.push(("policy", self.policy));
-        self.inner.incr(name, &l, by);
+        self.inner.resolve(name, &l, kind)
     }
 
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let mut l = labels.to_vec();
-        l.push(("policy", self.policy));
-        self.inner.gauge_max(name, &l, v);
-    }
-
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let mut l = labels.to_vec();
-        l.push(("policy", self.policy));
-        self.inner.observe(name, &l, v);
+    fn apply(&mut self, id: SeriesId, op: MetricOp) {
+        self.inner.apply(id, op);
     }
 }
 
@@ -176,7 +168,11 @@ pub fn shift_study(cfg: &ShiftStudyConfig, runner: &Runner) -> Result<(ShiftStud
     let mut out = Vec::with_capacity(cells.len());
     let mut snapshot = Snapshot::default();
     for (cell, snap) in cells {
-        snapshot.merge(&snap);
+        snapshot
+            .merge(&snap)
+            .map_err(|e| SchemeError::MetricMerge {
+                what: e.to_string(),
+            })?;
         out.push(cell);
     }
 

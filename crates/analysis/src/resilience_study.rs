@@ -26,9 +26,9 @@ use vod_units::{Mbps, Minutes};
 
 use sb_control::{ControlConfig, ControlFaults, ControlPolicy, ControlReport, ControlledSim};
 use sb_core::config::SystemConfig;
-use sb_core::error::Result;
+use sb_core::error::{Result, SchemeError};
 use sb_core::plan::VideoId;
-use sb_metrics::{Recorder, Registry, Snapshot};
+use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
 use sb_resilience::{replay, Degradation, FaultScript, GilbertElliott, ScriptedLoss};
 use sb_sim::policy::ClientPolicy;
 use sb_sim::trace::{ClientModel, PausingClient, RecordingClient};
@@ -226,22 +226,14 @@ struct Labeled<'a> {
 }
 
 impl Recorder for Labeled<'_> {
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
         let mut l = labels.to_vec();
         l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        self.inner.incr(name, &l, by);
+        self.inner.resolve(name, &l, kind)
     }
 
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let mut l = labels.to_vec();
-        l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        self.inner.gauge_max(name, &l, v);
-    }
-
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let mut l = labels.to_vec();
-        l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        self.inner.observe(name, &l, v);
+    fn apply(&mut self, id: SeriesId, op: MetricOp) {
+        self.inner.apply(id, op);
     }
 }
 
@@ -422,14 +414,22 @@ pub fn resilience_study(
 
     let mut snapshot = Snapshot::default();
     let mut out_cells = Vec::new();
-    for cell in cells.into_iter().flatten() {
-        snapshot.merge(&cell.1);
-        out_cells.push(cell.0);
+    for (cell, snap) in cells.into_iter().flatten() {
+        snapshot
+            .merge(&snap)
+            .map_err(|e| SchemeError::MetricMerge {
+                what: e.to_string(),
+            })?;
+        out_cells.push(cell);
     }
     let mut out_recovery = Vec::new();
     for r in recovery {
         let (cell, snap) = r?;
-        snapshot.merge(&snap);
+        snapshot
+            .merge(&snap)
+            .map_err(|e| SchemeError::MetricMerge {
+                what: e.to_string(),
+            })?;
         out_recovery.push(cell);
     }
 

@@ -296,7 +296,10 @@ pub fn run_crosscheck_instrumented(
     let mut snapshot = Snapshot::default();
     for (check, snap) in cells {
         checks.extend(check);
-        snapshot.merge(&snap);
+        // Every cell records the same families through the same code.
+        snapshot
+            .merge(&snap)
+            .expect("crosscheck cells record one shape per metric family");
     }
     (checks, snapshot)
 }

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use vod_units::{Mbps, Minutes, Ticks};
 
 use sb_core::config::SystemConfig;
-use sb_core::error::Result;
+use sb_core::error::{Result, SchemeError};
 use sb_core::plan::VideoId;
 use sb_metrics::Snapshot;
 use sb_sim::policy::ClientPolicy;
@@ -260,9 +260,13 @@ pub fn throughput_study(
 
     let mut snapshot = Snapshot::default();
     let mut out = Vec::new();
-    for cell in cells.into_iter().flatten() {
-        snapshot.merge(&cell.1);
-        out.push(cell.0);
+    for (cell, snap) in cells.into_iter().flatten() {
+        snapshot
+            .merge(&snap)
+            .map_err(|e| SchemeError::MetricMerge {
+                what: e.to_string(),
+            })?;
+        out.push(cell);
     }
     let total_sessions = out.iter().map(|c| c.sessions).sum();
     let total_events_fired = out.iter().map(|c| c.engine.fired).sum();

@@ -906,10 +906,7 @@ impl ControlledSim {
             let mut reg = Registry::new();
             let (report, _, scores, stats) = match recorder {
                 Some(user) => {
-                    let mut tee = TeeRecorder {
-                        a: &mut reg,
-                        b: user,
-                    };
+                    let mut tee = TeeRecorder::new(&mut reg, user);
                     self.run_faults_core(requests, policy, script, degradation, &mut tee)?
                 }
                 None => self.run_faults_core(requests, policy, script, degradation, &mut reg)?,
@@ -1025,10 +1022,7 @@ impl ControlledSim {
             let mut ops = want_ops.then(OpLog::new);
             let result = match ops.as_mut() {
                 Some(log) => {
-                    let mut tee = TeeRecorder {
-                        a: &mut reg,
-                        b: log,
-                    };
+                    let mut tee = TeeRecorder::new(&mut reg, log);
                     sims[s].run_faults_core(
                         &shard_reqs[s],
                         policy,
@@ -1129,7 +1123,11 @@ impl ControlledSim {
             stats.compactions += out.stats.compactions;
             stats.peak_agenda = stats.peak_agenda.max(out.stats.peak_agenda);
             shard_peak_agenda.push(out.stats.peak_agenda);
-            snapshot.merge(&out.snapshot);
+            snapshot
+                .merge(&out.snapshot)
+                .map_err(|e| SchemeError::MetricMerge {
+                    what: e.to_string(),
+                })?;
         }
         for (i, slot) in summary.final_hot.iter_mut().enumerate() {
             let s = i % shards;

@@ -23,6 +23,17 @@
 //! The [`Recorder`] trait is the write-side seam threaded through the
 //! simulators; [`NullRecorder`] makes instrumentation free on the
 //! un-instrumented paths.
+//!
+//! A recorder is two methods: [`Recorder::resolve`] maps a series key
+//! `(name, labels, kind)` to a [`SeriesId`] handle, and
+//! [`Recorder::apply`] applies a [`MetricOp`] through one. A hot loop
+//! resolves each series lazily, the first time it records into it, and
+//! then applies by handle: no label formatting, no map lookup, no
+//! allocation per event. The string calls (`incr`, `gauge_max`,
+//! `observe`) are provided on top of the two. A [`Registry`] keeps its
+//! series in a dense slot table named by its sorted maps, and a series
+//! resolved but never written is not exported, so handles leave
+//! snapshot bytes exactly what the string calls alone produce.
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +42,6 @@ pub mod registry;
 
 pub use recorder::{NullRecorder, OpLog, Recorder, TeeRecorder};
 pub use registry::{
-    FamilySnapshot, HistogramValue, MetricKind, MetricValue, Registry, SeriesSnapshot, Snapshot,
-    DEFAULT_BUCKETS,
+    FamilySnapshot, HistogramValue, MergeClash, MergeError, MetricKind, MetricOp, MetricValue,
+    Registry, SeriesId, SeriesSnapshot, Snapshot, DEFAULT_BUCKETS,
 };

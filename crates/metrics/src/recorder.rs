@@ -6,28 +6,60 @@
 //! run's report). Keeping the trait object at the call boundary — rather
 //! than a generic — keeps every downstream signature monomorphic and the
 //! public APIs unchanged.
+//!
+//! The trait has two required methods. [`Recorder::resolve`] turns a
+//! `(name, labels, kind)` series key into a [`SeriesId`], a dense index
+//! into the recorder's own table; [`Recorder::apply`] mutates the series
+//! a handle names. A hot loop resolves each series once — lazily, the
+//! first time it has something to record — and then applies by handle,
+//! with no string formatting or map lookup per event. The string calls
+//! ([`Recorder::incr`], [`Recorder::gauge_max`], [`Recorder::observe`])
+//! are provided methods that resolve and apply in one step, so callers
+//! that record rarely keep their one-line form.
+//!
+//! Resolving is not recording: a series exists in a snapshot, or in an
+//! [`OpLog`]'s replay, only once an operation was applied to it.
 
-use crate::registry::Registry;
+use std::collections::HashMap;
+
+use crate::registry::{MetricKind, MetricOp, Registry, SeriesId};
 
 /// A sink for simulation events.
 pub trait Recorder {
+    /// The handle of the series `name{labels}` holding instrument `kind`.
+    /// Resolving the same key again returns the same handle; a handle is
+    /// valid only for the recorder that returned it.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId;
+
+    /// Apply `op` to the series `id` names. `op` must match the kind the
+    /// series was resolved with.
+    fn apply(&mut self, id: SeriesId, op: MetricOp);
+
     /// Add `by` to the counter `name{labels}`.
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64);
+    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+        let id = self.resolve(name, labels, MetricKind::Counter);
+        self.apply(id, MetricOp::Incr(by));
+    }
+
     /// Raise the gauge `name{labels}` to `v` if higher.
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64);
+    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        let id = self.resolve(name, labels, MetricKind::Gauge);
+        self.apply(id, MetricOp::GaugeMax(v));
+    }
+
     /// Record `v` into the histogram `name{labels}`.
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64);
+    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        let id = self.resolve(name, labels, MetricKind::Histogram);
+        self.apply(id, MetricOp::Observe(v));
+    }
 }
 
 impl Recorder for Registry {
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        Registry::incr(self, name, labels, by);
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
+        Registry::resolve(self, name, labels, kind)
     }
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        Registry::gauge_max(self, name, labels, v);
-    }
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        Registry::observe(self, name, labels, v);
+    fn apply(&mut self, id: SeriesId, op: MetricOp) {
+        Registry::apply(self, id, op);
     }
 }
 
@@ -36,66 +68,84 @@ impl Recorder for Registry {
 pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
-    fn incr(&mut self, _name: &str, _labels: &[(&str, &str)], _by: u64) {}
-    fn gauge_max(&mut self, _name: &str, _labels: &[(&str, &str)], _v: f64) {}
-    fn observe(&mut self, _name: &str, _labels: &[(&str, &str)], _v: f64) {}
+    fn resolve(&mut self, _name: &str, _labels: &[(&str, &str)], _kind: MetricKind) -> SeriesId {
+        SeriesId::new(0)
+    }
+    fn apply(&mut self, _id: SeriesId, _op: MetricOp) {}
 }
 
 /// Duplicates every event into two recorders, `a` first.
 ///
-/// The sharded simulation core records into a private [`Registry`] (the
+/// The controlled simulation records into a private [`Registry`] (the
 /// run's snapshot) while simultaneously feeding any caller-supplied
 /// recorder; the tee is what keeps both sides seeing the identical event
-/// stream.
+/// stream. Its handles index pairs of the two sides' handles.
 pub struct TeeRecorder<'a> {
-    /// First recipient of every event.
-    pub a: &'a mut dyn Recorder,
-    /// Second recipient of every event.
-    pub b: &'a mut dyn Recorder,
+    a: &'a mut dyn Recorder,
+    b: &'a mut dyn Recorder,
+    pairs: Vec<(SeriesId, SeriesId)>,
+    index: HashMap<(SeriesId, SeriesId), SeriesId>,
+}
+
+impl<'a> TeeRecorder<'a> {
+    /// A tee feeding `a`, then `b`.
+    pub fn new(a: &'a mut dyn Recorder, b: &'a mut dyn Recorder) -> Self {
+        Self {
+            a,
+            b,
+            pairs: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
 }
 
 impl Recorder for TeeRecorder<'_> {
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.a.incr(name, labels, by);
-        self.b.incr(name, labels, by);
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
+        let pair = (
+            self.a.resolve(name, labels, kind),
+            self.b.resolve(name, labels, kind),
+        );
+        *self.index.entry(pair).or_insert_with(|| {
+            self.pairs.push(pair);
+            SeriesId::new(self.pairs.len() - 1)
+        })
     }
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.a.gauge_max(name, labels, v);
-        self.b.gauge_max(name, labels, v);
-    }
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.a.observe(name, labels, v);
-        self.b.observe(name, labels, v);
+    fn apply(&mut self, id: SeriesId, op: MetricOp) {
+        let (a, b) = self.pairs[id.index()];
+        self.a.apply(a, op);
+        self.b.apply(b, op);
     }
 }
 
-/// One recorded metric mutation.
+/// One interned series key of an [`OpLog`].
 #[derive(Debug, Clone, PartialEq)]
-enum OpKind {
-    Incr(u64),
-    GaugeMax(f64),
-    Observe(f64),
-}
-
-/// One buffered [`Recorder`] event: series key plus mutation.
-#[derive(Debug, Clone, PartialEq)]
-struct Op {
+struct SeriesKey {
     name: String,
     labels: Vec<(String, String)>,
-    kind: OpKind,
+    kind: MetricKind,
 }
 
 /// A recorder that buffers its event stream for deterministic replay.
 ///
 /// Parallel shards cannot share one `&mut dyn Recorder`; instead each
-/// shard tees into a private [`OpLog`], and the caller [`OpLog::replay`]s
-/// the logs *in shard order* into the destination recorder after the
-/// join. Replay preserves per-series event order (each series lives on
-/// exactly one shard in the sharded simulation), so the destination ends
-/// in the same state a serial run would have produced.
+/// shard records into a private [`OpLog`], and the caller
+/// [`OpLog::replay`]s the logs *in shard order* into the destination
+/// recorder after the join. Replay preserves per-series event order
+/// (each series lives on exactly one shard in the sharded simulation), so
+/// the destination ends in the same state a serial run would have
+/// produced.
+///
+/// Each distinct series key is stored once; an event is a key index and
+/// the operation.
 #[derive(Debug, Default, Clone)]
 pub struct OpLog {
-    ops: Vec<Op>,
+    keys: Vec<SeriesKey>,
+    /// Encoded key → its index in `keys`.
+    index: HashMap<String, SeriesId>,
+    /// Scratch buffer for the encoded key, so resolving an interned key
+    /// allocates nothing.
+    scratch: String,
+    ops: Vec<(SeriesId, MetricOp)>,
 }
 
 impl OpLog {
@@ -117,24 +167,40 @@ impl OpLog {
         self.ops.is_empty()
     }
 
-    /// Replay the buffered events, in recording order, into `rec`.
+    /// Replay the buffered events, in recording order, into `rec`. Each
+    /// series is resolved in `rec` at its first event, so a key that was
+    /// resolved here but never written stays unknown to `rec`.
     pub fn replay(&self, rec: &mut dyn Recorder) {
-        for op in &self.ops {
-            let labels: Vec<(&str, &str)> = op
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            match op.kind {
-                OpKind::Incr(by) => rec.incr(&op.name, &labels, by),
-                OpKind::GaugeMax(v) => rec.gauge_max(&op.name, &labels, v),
-                OpKind::Observe(v) => rec.observe(&op.name, &labels, v),
-            }
+        let mut ids: Vec<Option<SeriesId>> = vec![None; self.keys.len()];
+        for &(key, op) in &self.ops {
+            let id = *ids[key.index()].get_or_insert_with(|| {
+                let k = &self.keys[key.index()];
+                let labels: Vec<(&str, &str)> = k
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                rec.resolve(&k.name, &labels, k.kind)
+            });
+            rec.apply(id, op);
         }
     }
+}
 
-    fn push(&mut self, name: &str, labels: &[(&str, &str)], kind: OpKind) {
-        self.ops.push(Op {
+impl Recorder for OpLog {
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
+        // Length-prefixed parts, so distinct keys never encode alike.
+        use std::fmt::Write as _;
+        self.scratch.clear();
+        let _ = write!(self.scratch, "{kind:?}");
+        for part in std::iter::once(name).chain(labels.iter().flat_map(|&(k, v)| [k, v])) {
+            let _ = write!(self.scratch, "/{}:{part}", part.len());
+        }
+        if let Some(&id) = self.index.get(self.scratch.as_str()) {
+            return id;
+        }
+        let id = SeriesId::new(self.keys.len());
+        self.keys.push(SeriesKey {
             name: name.to_string(),
             labels: labels
                 .iter()
@@ -142,18 +208,12 @@ impl OpLog {
                 .collect(),
             kind,
         });
+        self.index.insert(self.scratch.clone(), id);
+        id
     }
-}
 
-impl Recorder for OpLog {
-    fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.push(name, labels, OpKind::Incr(by));
-    }
-    fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.push(name, labels, OpKind::GaugeMax(v));
-    }
-    fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.push(name, labels, OpKind::Observe(v));
+    fn apply(&mut self, id: SeriesId, op: MetricOp) {
+        self.ops.push((id, op));
     }
 }
 
@@ -187,11 +247,11 @@ mod tests {
         let mut a = Registry::new();
         let mut b = Registry::new();
         {
-            let mut tee = TeeRecorder {
-                a: &mut a,
-                b: &mut b,
-            };
+            let mut tee = TeeRecorder::new(&mut a, &mut b);
             record_into(&mut tee);
+            record_into(&mut tee);
+            // One tee handle per distinct series, however often resolved.
+            assert_eq!(tee.pairs.len(), 3);
         }
         assert_eq!(
             serde_json::to_string(&a.snapshot()).unwrap(),
@@ -203,9 +263,12 @@ mod tests {
     fn oplog_replay_reproduces_the_direct_registry() {
         let mut direct = Registry::new();
         record_into(&mut direct);
+        record_into(&mut direct);
         let mut log = OpLog::new();
         record_into(&mut log);
-        assert_eq!(log.len(), 3);
+        record_into(&mut log);
+        assert_eq!(log.len(), 6);
+        assert_eq!(log.keys.len(), 3, "each series key is stored once");
         assert!(!log.is_empty());
         let mut replayed = Registry::new();
         log.replay(&mut replayed);
@@ -213,5 +276,23 @@ mod tests {
             serde_json::to_string(&direct.snapshot()).unwrap(),
             serde_json::to_string(&replayed.snapshot()).unwrap()
         );
+    }
+
+    #[test]
+    fn oplog_keys_do_not_collide() {
+        let mut log = OpLog::new();
+        let ids = [
+            log.resolve("a", &[("b", "c")], MetricKind::Counter),
+            log.resolve("a", &[("b", "c")], MetricKind::Gauge),
+            log.resolve("a", &[("bc", "")], MetricKind::Counter),
+            log.resolve("a", &[("b", ""), ("", "c")], MetricKind::Counter),
+            log.resolve("ab", &[("", "c")], MetricKind::Counter),
+        ];
+        for (i, a) in ids.iter().enumerate() {
+            for b in &ids[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(log.resolve("a", &[("b", "c")], MetricKind::Counter), ids[0]);
     }
 }

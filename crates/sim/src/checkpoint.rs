@@ -40,7 +40,6 @@ use sb_metrics::{
 use crate::agenda::AgendaKind;
 use crate::policy::PolicyError;
 use crate::shard::{SessionScalars, ShardSlice};
-use crate::sink::NullSink;
 use crate::system::{ActiveSweep, Checkpoints, SweepOrder, SystemSim};
 
 /// Format version written (and the only one accepted) by this build.
@@ -256,7 +255,7 @@ impl SystemSim<'_> {
                 .transpose()
                 .map_err(ShardCrash::Corrupt)?,
         };
-        self.run_slice(slice, None, &mut NullSink, Some(checkpoints))
+        self.run_slice(slice, None, None, Some(checkpoints))
     }
 
     /// Run one shard slice through the sweep with scalar capture and
@@ -267,10 +266,10 @@ impl SystemSim<'_> {
         &self,
         slice: &ShardSlice,
         rec: Option<&mut dyn sb_metrics::Recorder>,
-        sink: &mut dyn crate::sink::TraceSink,
+        sink: Option<&mut dyn crate::sink::TraceSink>,
         checkpoints: Option<Checkpoints<'_>>,
     ) -> Result<ShardRun, ShardCrash> {
-        let out = self.run_core(slice.requests(), true, rec, sink, checkpoints)?;
+        let out = self.run_core(slice.requests(), None, rec, sink, checkpoints)?;
         let mut scalars = out.scalars;
         for sc in &mut scalars {
             sc.idx = slice.global_idx()[sc.idx];

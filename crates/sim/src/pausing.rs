@@ -122,20 +122,36 @@ impl PausingSchedule {
             playback_start: self.playback_start,
             display_rate: self.display_rate,
             segment_sizes: self.segment_sizes.clone(),
-            receptions: self
-                .bursts
-                .iter()
-                .map(|b| Reception {
-                    segment: b.segment,
-                    channel: b.channel,
-                    start: b.start,
-                    duration: b.duration,
-                    rate: b.rate,
-                    content_offset: b.content_offset,
-                    size: b.size,
-                })
-                .collect(),
+            receptions: self.receptions(),
         }
+    }
+
+    /// [`PausingSchedule::trace`], moving the segment sizes into the
+    /// trace instead of copying them.
+    #[must_use]
+    pub fn into_trace(self) -> SessionTrace {
+        SessionTrace {
+            arrival: self.arrival,
+            playback_start: self.playback_start,
+            display_rate: self.display_rate,
+            receptions: self.receptions(),
+            segment_sizes: self.segment_sizes,
+        }
+    }
+
+    fn receptions(&self) -> Vec<Reception> {
+        self.bursts
+            .iter()
+            .map(|b| Reception {
+                segment: b.segment,
+                channel: b.channel,
+                start: b.start,
+                duration: b.duration,
+                rate: b.rate,
+                content_offset: b.content_offset,
+                size: b.size,
+            })
+            .collect()
     }
 
     /// Starvation check: every content byte must be received no later
@@ -182,11 +198,10 @@ pub fn schedule_pausing_client(
     arrival: Minutes,
     display_rate: Mbps,
 ) -> Result<PausingSchedule, PolicyError> {
-    let sizes = plan
+    let sizes: &[Mbits] = plan
         .segment_sizes
         .get(video.0)
-        .ok_or(PolicyError::UnknownVideo(video))?
-        .clone();
+        .ok_or(PolicyError::UnknownVideo(video))?;
 
     // Playback start: earliest catchable broadcast of fragment 0 over its
     // replicas (identical to the tune-at-start client).
@@ -205,7 +220,7 @@ pub fn schedule_pausing_client(
         arrival,
         playback_start,
         display_rate,
-        segment_sizes: sizes.clone(),
+        segment_sizes: sizes.to_vec(),
         bursts: Vec::new(),
     };
 

@@ -22,7 +22,7 @@
 //! scheme's access latency.
 
 use serde::{Deserialize, Serialize};
-use vod_units::{Mbps, Minutes};
+use vod_units::{Mbits, Mbps, Minutes};
 
 use sb_core::plan::{BroadcastItem, ChannelPlan, PlanIndex, VideoId};
 
@@ -111,11 +111,10 @@ pub fn schedule_client_indexed(
     policy: ClientPolicy,
 ) -> Result<ClientSchedule, PolicyError> {
     let plan = index.plan();
-    let sizes = plan
+    let sizes: &[Mbits] = plan
         .segment_sizes
         .get(video.0)
-        .ok_or(PolicyError::UnknownVideo(video))?
-        .clone();
+        .ok_or(PolicyError::UnknownVideo(video))?;
 
     // Playback start: earliest catchable broadcast of segment 0.
     let first = BroadcastItem { video, segment: 0 };
@@ -126,7 +125,7 @@ pub fn schedule_client_indexed(
         arrival,
         playback_start: first_start,
         display_rate,
-        segment_sizes: sizes.clone(),
+        segment_sizes: sizes.to_vec(),
         downloads: Vec::with_capacity(sizes.len()),
     };
     sched.downloads.push(Download {

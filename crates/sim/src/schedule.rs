@@ -132,20 +132,36 @@ impl ClientSchedule {
             playback_start: self.playback_start,
             display_rate: self.display_rate,
             segment_sizes: self.segment_sizes.clone(),
-            receptions: self
-                .downloads
-                .iter()
-                .map(|d| Reception {
-                    segment: d.item.segment,
-                    channel: d.channel,
-                    start: d.start,
-                    duration: (d.size / d.rate).to_minutes(),
-                    rate: d.rate,
-                    content_offset: Mbits(0.0),
-                    size: d.size,
-                })
-                .collect(),
+            receptions: self.receptions(),
         }
+    }
+
+    /// [`ClientSchedule::trace`], moving the segment sizes into the trace
+    /// instead of copying them.
+    #[must_use]
+    pub fn into_trace(self) -> SessionTrace {
+        SessionTrace {
+            arrival: self.arrival,
+            playback_start: self.playback_start,
+            display_rate: self.display_rate,
+            receptions: self.receptions(),
+            segment_sizes: self.segment_sizes,
+        }
+    }
+
+    fn receptions(&self) -> Vec<Reception> {
+        self.downloads
+            .iter()
+            .map(|d| Reception {
+                segment: d.item.segment,
+                channel: d.channel,
+                start: d.start,
+                duration: (d.size / d.rate).to_minutes(),
+                rate: d.rate,
+                content_offset: Mbits(0.0),
+                size: d.size,
+            })
+            .collect()
     }
 
     /// All segments whose reception starts too late for starvation-free

@@ -15,6 +15,16 @@
 //! serial run, each shard, a resumed checkpoint and the shard merge all
 //! share that sweep.
 //!
+//! Each session is reduced to its numbers in one scalar pass: `serve`
+//! derives the startup latency, playback end, peak buffer, payload,
+//! delivered minutes and peak concurrent receptions once, as a
+//! `SessionScalars`, and every consumer reads that one copy — the metric
+//! recorders, the [`StreamingFold`] on the serial path, the captured
+//! scalars the shard merge replays. The recorders are fed through
+//! series handles each run resolves lazily, per video and per channel,
+//! the first time that video or channel is served, so a session formats
+//! no label and looks up no series by name.
+//!
 //! The simulation is scheme-agnostic: any [`ClientModel`] — a
 //! [`crate::policy::ClientPolicy`] for the tune-at-start schemes, a
 //! [`crate::trace::PausingClient`] for PPB's max-saving client, a
@@ -22,19 +32,19 @@
 //! into the same [`SystemSim`], because every model reduces its sessions
 //! to the common [`crate::trace::SessionTrace`].
 
-use sb_metrics::{Recorder, Registry, Snapshot, TeeRecorder};
+use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
-use sb_core::plan::{ChannelPlan, VideoId};
+use sb_core::plan::{ChannelPlan, PlanIndex, VideoId};
 
 use crate::agenda::MinQueue;
 use crate::checkpoint::{encode_state, CheckpointState, Probe, ShardCrash, Verdict};
 use crate::engine::EngineStats;
 use crate::policy::PolicyError;
 use crate::shard::SessionScalars;
-use crate::sink::{SessionSummary, TraceSink};
-use crate::trace::ClientModel;
+use crate::sink::{SessionSummary, StreamingFold, TraceSink};
+use crate::trace::{ClientModel, Reception};
 
 /// One viewer request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -223,6 +233,81 @@ pub(crate) struct CoreOut {
     pub(crate) checkpoints_taken: u64,
 }
 
+/// One recorder's per-session series handles for a run, by video id and
+/// by channel id, each resolved the first time that video or channel is
+/// served — so a series appears in the recorder exactly when the string
+/// calls would have created it.
+#[derive(Default)]
+struct SeriesTable {
+    /// `[sim_sessions_total, sim_latency_minutes, sim_peak_buffer_mbits]`.
+    videos: Vec<Option<[SeriesId; 3]>>,
+    /// `sim_channel_busy_minutes`.
+    channels: Vec<Option<SeriesId>>,
+}
+
+/// The slot for `id` in a lazily grown per-id table.
+fn slot<T>(table: &mut Vec<Option<T>>, id: usize) -> &mut Option<T> {
+    if id >= table.len() {
+        table.resize_with(id + 1, || None);
+    }
+    &mut table[id]
+}
+
+impl SeriesTable {
+    /// Record one session into `rec`: its count, latency and peak buffer
+    /// on the video's series, then each reception's busy time on its
+    /// channel's.
+    fn record<R: Recorder + ?Sized>(
+        &mut self,
+        rec: &mut R,
+        video: VideoId,
+        sc: &SessionScalars,
+        receptions: &[Reception],
+    ) {
+        let [sessions, latency, buffer] =
+            *slot(&mut self.videos, video.0).get_or_insert_with(|| {
+                let id = video.0.to_string();
+                let vl: &[(&str, &str)] = &[("video", &id)];
+                [
+                    rec.resolve("sim_sessions_total", vl, MetricKind::Counter),
+                    rec.resolve("sim_latency_minutes", vl, MetricKind::Histogram),
+                    rec.resolve("sim_peak_buffer_mbits", vl, MetricKind::Histogram),
+                ]
+            });
+        rec.apply(sessions, MetricOp::Incr(1));
+        rec.apply(latency, MetricOp::Observe(sc.latency));
+        rec.apply(buffer, MetricOp::Observe(sc.peak_buffer));
+        for rx in receptions {
+            let busy = *slot(&mut self.channels, rx.channel).get_or_insert_with(|| {
+                let id = rx.channel.to_string();
+                rec.resolve(
+                    "sim_channel_busy_minutes",
+                    &[("channel", &id)],
+                    MetricKind::Histogram,
+                )
+            });
+            rec.apply(busy, MetricOp::Observe(rx.duration.value()));
+        }
+    }
+}
+
+/// The recorders a run feeds: the core's own registry (the outcome's
+/// snapshot) and, when given, the caller's, each with its handles.
+struct Taps<'r> {
+    reg: Registry,
+    reg_series: SeriesTable,
+    caller: Option<(&'r mut dyn Recorder, SeriesTable)>,
+}
+
+impl Taps<'_> {
+    fn record(&mut self, video: VideoId, sc: &SessionScalars, receptions: &[Reception]) {
+        self.reg_series.record(&mut self.reg, video, sc, receptions);
+        if let Some((rec, table)) = &mut self.caller {
+            table.record(&mut **rec, video, sc, receptions);
+        }
+    }
+}
+
 /// A many-client simulation over a fixed broadcast plan.
 pub struct SystemSim<'a> {
     plan: &'a ChannelPlan,
@@ -255,37 +340,43 @@ impl<'a> SystemSim<'a> {
     ///
     /// Serves `requests` in [`SweepOrder`], popping the session ends
     /// strictly before each arrival off an [`ActiveSweep`] and draining
-    /// the rest after the last one. Traces stream into `sink`, metric
-    /// events into the core's own registry and, when given, into `rec`
-    /// as well. With `capture` it also keeps one [`SessionScalars`] per
-    /// served session in sweep order — the ordered-replay merge's input;
-    /// the serial path streams without them. `checkpoints` (which needs
-    /// `capture`) adds the supervisor's hooks: resume, a checkpoint every
-    /// `every` sessions, and the kill probe, shown each popped end and
-    /// each arrival.
+    /// the rest after the last one. Each session's scalars go into
+    /// `fold` when given (the serial path, which streams and keeps
+    /// nothing); without one they are captured, one [`SessionScalars`]
+    /// per served session in sweep order, as the ordered-replay merge's
+    /// input. Metric events go into the core's own registry and, when
+    /// given, into `rec` as well; traces go to `sink` when given.
+    /// `checkpoints` (which needs the capture) adds the supervisor's
+    /// hooks: resume, a checkpoint every `every` sessions, and the kill
+    /// probe, shown each popped end and each arrival.
     pub(crate) fn run_core(
         &self,
         requests: &[Request],
-        capture: bool,
-        mut rec: Option<&mut dyn Recorder>,
-        sink: &mut dyn TraceSink,
+        mut fold: Option<&mut StreamingFold>,
+        rec: Option<&mut dyn Recorder>,
+        mut sink: Option<&mut dyn TraceSink>,
         mut checkpoints: Option<Checkpoints<'_>>,
     ) -> Result<CoreOut, ShardCrash> {
         let order = SweepOrder::new(requests, self.scale);
         // The cursor is the number of scalars captured: zero unless resumed.
-        let (mut sweep, mut reg, mut scalars) =
-            match checkpoints.as_mut().and_then(|c| c.resume.take()) {
-                Some(cp) => (
-                    cp.check_fits(&order).map_err(ShardCrash::Corrupt)?,
-                    Registry::from_snapshot(&cp.snapshot),
-                    cp.scalars,
-                ),
-                None => (
-                    ActiveSweep::default(),
-                    Registry::new(),
-                    Vec::with_capacity(if capture { requests.len() } else { 0 }),
-                ),
-            };
+        let (mut sweep, reg, mut scalars) = match checkpoints.as_mut().and_then(|c| c.resume.take())
+        {
+            Some(cp) => (
+                cp.check_fits(&order).map_err(ShardCrash::Corrupt)?,
+                Registry::from_snapshot(&cp.snapshot),
+                cp.scalars,
+            ),
+            None => (
+                ActiveSweep::default(),
+                Registry::new(),
+                Vec::with_capacity(if fold.is_none() { requests.len() } else { 0 }),
+            ),
+        };
+        let mut taps = Taps {
+            reg,
+            reg_series: SeriesTable::default(),
+            caller: rec.map(|rec| (rec, SeriesTable::default())),
+        };
         let index = self.plan.index();
         let mut taken = 0u64;
         for cursor in scalars.len()..order.len() {
@@ -295,24 +386,26 @@ impl<'a> SystemSim<'a> {
                 probe_event(&mut checkpoints, end, cursor, taken)?;
             }
             probe_event(&mut checkpoints, tick, cursor, taken)?;
-            let mut tee;
-            let r: &mut dyn Recorder = match rec.as_deref_mut() {
-                Some(b) => {
-                    tee = TeeRecorder { a: &mut reg, b };
-                    &mut tee
-                }
-                None => &mut reg,
-            };
-            let cap = if capture { Some(&mut scalars) } else { None };
-            let end = self
-                .serve(tick, pos, requests[pos], &index, r, sink, cap)
+            let sc = self
+                .serve(
+                    tick,
+                    pos,
+                    requests[pos],
+                    &index,
+                    &mut taps,
+                    sink.as_deref_mut(),
+                )
                 .map_err(ShardCrash::Policy)?;
-            sweep.arrive(end);
+            sweep.arrive(sc.end_tick);
+            match fold.as_deref_mut() {
+                Some(fold) => sc.fold_into(fold),
+                None => scalars.push(sc),
+            }
             let done = cursor as u64 + 1;
             let Some(ck) = checkpoints.as_mut().filter(|ck| done % ck.every == 0) else {
                 continue;
             };
-            let encoded = encode_state(sweep.peak(), &scalars, &reg.snapshot());
+            let encoded = encode_state(sweep.peak(), &scalars, &taps.reg.snapshot());
             taken += 1;
             if let Verdict::Kill = (ck.probe)(Probe::Checkpoint {
                 index: done / ck.every,
@@ -325,9 +418,15 @@ impl<'a> SystemSim<'a> {
             probe_event(&mut checkpoints, end, order.len(), taken)?;
         }
         let stats = sweep_stats(&[order.len()]);
-        for r in [Some(&mut reg as &mut dyn Recorder), rec]
-            .into_iter()
-            .flatten()
+        let Taps {
+            mut reg, caller, ..
+        } = taps;
+        for r in [
+            Some(&mut reg as &mut dyn Recorder),
+            caller.map(|(rec, _)| rec),
+        ]
+        .into_iter()
+        .flatten()
         {
             r.gauge_max("sim_peak_active_sessions", &[], sweep.peak() as f64);
             for (kind, n) in [
@@ -350,53 +449,38 @@ impl<'a> SystemSim<'a> {
     /// exact per-session statements (and float order) every execution
     /// path shares; bitwise identity between serial, sharded and
     /// checkpoint-resumed runs rests on this being the *only* copy of
-    /// them. Returns the tick the session's playback ends.
-    #[allow(clippy::too_many_arguments)]
+    /// them. Derives the session's scalars once, records them into
+    /// `taps`, hands the trace to `sink` and returns the scalars.
     fn serve(
         &self,
         tick: u64,
         pos: usize,
         r: Request,
-        index: &sb_core::plan::PlanIndex<'_>,
-        rec: &mut dyn Recorder,
-        sink: &mut dyn TraceSink,
-        capture: Option<&mut Vec<SessionScalars>>,
-    ) -> Result<u64, PolicyError> {
+        index: &PlanIndex<'_>,
+        taps: &mut Taps<'_>,
+        sink: Option<&mut (dyn TraceSink + '_)>,
+    ) -> Result<SessionScalars, PolicyError> {
         let s = self
             .model
             .session_indexed(index, r.video, r.at, self.display_rate)?;
-        sink.accept(&s);
-        let lat = s.startup_latency();
         let end = s.playback_end();
-        let video = r.video.0.to_string();
-        let vl: &[(&str, &str)] = &[("video", &video)];
-        rec.incr("sim_sessions_total", vl, 1);
-        rec.observe("sim_latency_minutes", vl, lat.value());
-        rec.observe("sim_peak_buffer_mbits", vl, s.peak_buffer().value());
-        for rx in &s.receptions {
-            let channel = rx.channel.to_string();
-            rec.observe(
-                "sim_channel_busy_minutes",
-                &[("channel", &channel)],
-                rx.duration.value(),
-            );
+        // The floats `StreamingFold::accept` folds, computed by the same
+        // expressions, so every path's fold is bit-identical.
+        let sc = SessionScalars {
+            tick,
+            idx: pos,
+            end_tick: (Ticks::ZERO + self.scale.duration_from_minutes(end)).0,
+            latency: s.startup_latency().value(),
+            peak_buffer: s.peak_buffer().value(),
+            total_received: s.total_received().value(),
+            delivered: end.value() - s.playback_start.value(),
+            max_streams: s.max_concurrent_receptions(),
+        };
+        taps.record(r.video, &sc, &s.receptions);
+        if let Some(sink) = sink {
+            sink.accept(&s);
         }
-        let end_tick = (Ticks::ZERO + self.scale.duration_from_minutes(end)).0;
-        if let Some(cap) = capture {
-            // The floats `StreamingFold::accept` folds, computed by the
-            // same expressions, so the merge's replay is bit-identical.
-            cap.push(SessionScalars {
-                tick,
-                idx: pos,
-                end_tick,
-                latency: lat.value(),
-                peak_buffer: s.peak_buffer().value(),
-                total_received: s.total_received().value(),
-                delivered: end.value() - s.playback_start.value(),
-                max_streams: s.max_concurrent_receptions(),
-            });
-        }
-        Ok(end_tick)
+        Ok(sc)
     }
 }
 

@@ -34,9 +34,10 @@ use vod_units::{MBytes, Mbits, Mbps, Minutes};
 use sb_core::plan::{ChannelPlan, PlanIndex, VideoId};
 
 use crate::cycle_record::{record_cycles, record_cycles_indexed};
-use crate::pausing::schedule_pausing_client;
+use crate::pausing::{schedule_pausing_client, PausingSchedule};
 use crate::policy::{schedule_client, schedule_client_indexed, ClientPolicy, PolicyError};
 use crate::receive_all::{record_all, record_all_indexed};
+use crate::schedule::ClientSchedule;
 
 /// One contiguous constant-rate delivery of part of a segment.
 ///
@@ -256,25 +257,18 @@ impl SessionTrace {
         sorted.windows(2).all(|w| w[0].1 <= w[1].0 + tol)
     }
 
-    /// The buffer-occupancy curve as `(time, Mbits)` vertices: total data
-    /// received minus total data consumed, evaluated at every breakpoint
-    /// (reception starts/ends, playback start/end).
-    #[must_use]
-    pub fn buffer_profile(&self) -> Vec<(Minutes, Mbits)> {
+    /// Walk the buffer-occupancy curve, calling `visit(t, Mbits)` at
+    /// every breakpoint in time order: total data received minus total
+    /// data consumed, at each reception start and end and at playback
+    /// start and end, with breakpoints closer than 1e-12 minutes merged.
+    ///
+    /// One sorted rate-change list serves both as the breakpoint stream
+    /// (merged with the two playback instants) and as the rate sweep: the
+    /// aggregate receive rate is piecewise constant, so `received`
+    /// advances by `rate · Δt` between consecutive event/breakpoint times.
+    fn walk_buffer(&self, mut visit: impl FnMut(f64, f64)) {
         let play_start = self.playback_start.value();
         let play_end = self.playback_end().value();
-        let mut points: Vec<f64> = vec![play_start, play_end];
-        for rec in &self.receptions {
-            points.push(rec.start.value());
-            points.push(rec.end().value());
-        }
-        points.sort_by(f64::total_cmp);
-        points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-        // One sweep over rate-change events instead of re-integrating every
-        // reception at every breakpoint: the aggregate receive rate is
-        // piecewise constant, so `received` advances by `rate · Δt` between
-        // consecutive event/breakpoint times.
         let mut events: Vec<(f64, f64)> = Vec::with_capacity(self.receptions.len() * 2);
         for rec in &self.receptions {
             let r = rec.rate.value() * 60.0; // Mbits per minute
@@ -282,14 +276,43 @@ impl SessionTrace {
             events.push((rec.end().value(), -r));
         }
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let plays = if play_start.total_cmp(&play_end).is_le() {
+            [play_start, play_end]
+        } else {
+            [play_end, play_start]
+        };
 
         let total: f64 = self.segment_sizes.iter().map(|s| s.value()).sum();
-        let mut out = Vec::with_capacity(points.len());
+        let (mut next_time, mut next_play) = (0usize, 0usize);
+        let mut last: Option<f64> = None;
         let mut received = 0.0f64;
         let mut rate = 0.0f64;
-        let mut cursor = points.first().copied().unwrap_or(0.0);
+        let mut cursor = 0.0f64;
         let mut next_event = 0usize;
-        for &t in &points {
+        loop {
+            // The next breakpoint: event times and playback instants,
+            // merged in sorted order.
+            let t = match (events.get(next_time), plays.get(next_play)) {
+                (Some(&(et, _)), Some(&pt)) if et.total_cmp(&pt).is_lt() => {
+                    next_time += 1;
+                    et
+                }
+                (_, Some(&pt)) => {
+                    next_play += 1;
+                    pt
+                }
+                (Some(&(et, _)), None) => {
+                    next_time += 1;
+                    et
+                }
+                (None, None) => break,
+            };
+            match last {
+                Some(kept) if (t - kept).abs() < 1e-12 => continue,
+                Some(_) => {}
+                None => cursor = t,
+            }
+            last = Some(t);
             while next_event < events.len() && events[next_event].0 <= t {
                 let (et, dr) = events[next_event];
                 let et = et.max(cursor);
@@ -306,18 +329,27 @@ impl SessionTrace {
             }
             let played = (t - play_start).clamp(0.0, play_end - play_start);
             let consumed = (self.display_rate.value() * played * 60.0).min(total);
-            out.push((Minutes(t), Mbits((received - consumed).max(0.0))));
+            visit(t, (received - consumed).max(0.0));
         }
+    }
+
+    /// The buffer-occupancy curve as `(time, Mbits)` vertices: total data
+    /// received minus total data consumed, evaluated at every breakpoint
+    /// (reception starts/ends, playback start/end).
+    #[must_use]
+    pub fn buffer_profile(&self) -> Vec<(Minutes, Mbits)> {
+        let mut out = Vec::with_capacity(self.receptions.len() * 2 + 2);
+        self.walk_buffer(|t, b| out.push((Minutes(t), Mbits(b))));
         out
     }
 
-    /// Peak of the buffer-occupancy curve.
+    /// Peak of the buffer-occupancy curve, folded during the walk
+    /// without building the profile.
     #[must_use]
     pub fn peak_buffer(&self) -> Mbits {
-        self.buffer_profile()
-            .into_iter()
-            .map(|(_, b)| b)
-            .fold(Mbits::ZERO, Mbits::max)
+        let mut peak = Mbits::ZERO;
+        self.walk_buffer(|_, b| peak = peak.max(Mbits(b)));
+        peak
     }
 
     /// Peak buffer in the paper's Figure-8 unit.
@@ -465,7 +497,7 @@ impl ClientModel for ClientPolicy {
         arrival: Minutes,
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
-        schedule_client(plan, video, arrival, display_rate, *self).map(|s| s.trace())
+        schedule_client(plan, video, arrival, display_rate, *self).map(ClientSchedule::into_trace)
     }
 
     fn session_indexed(
@@ -475,7 +507,8 @@ impl ClientModel for ClientPolicy {
         arrival: Minutes,
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
-        schedule_client_indexed(index, video, arrival, display_rate, *self).map(|s| s.trace())
+        schedule_client_indexed(index, video, arrival, display_rate, *self)
+            .map(ClientSchedule::into_trace)
     }
 }
 
@@ -492,7 +525,7 @@ impl ClientModel for PausingClient {
         arrival: Minutes,
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
-        schedule_pausing_client(plan, video, arrival, display_rate).map(|s| s.trace())
+        schedule_pausing_client(plan, video, arrival, display_rate).map(PausingSchedule::into_trace)
     }
 }
 
@@ -587,6 +620,119 @@ mod tests {
         assert_eq!(t.startup_latency(), s.startup_latency());
         assert_eq!(t.max_concurrent_receptions(), s.max_concurrent_downloads());
         assert!(t.is_jitter_free(1e-9));
+    }
+
+    /// The profile as first written: sorted, deduplicated breakpoints
+    /// and a separate sorted event list, both built in full. The one-walk
+    /// version must reproduce it bit for bit.
+    fn reference_profile(t: &SessionTrace) -> Vec<(Minutes, Mbits)> {
+        let play_start = t.playback_start.value();
+        let play_end = t.playback_end().value();
+        let mut points: Vec<f64> = vec![play_start, play_end];
+        for rec in &t.receptions {
+            points.push(rec.start.value());
+            points.push(rec.end().value());
+        }
+        points.sort_by(f64::total_cmp);
+        points.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let mut events: Vec<(f64, f64)> = Vec::new();
+        for rec in &t.receptions {
+            let r = rec.rate.value() * 60.0;
+            events.push((rec.start.value(), r));
+            events.push((rec.end().value(), -r));
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let total: f64 = t.segment_sizes.iter().map(|s| s.value()).sum();
+        let mut out = Vec::new();
+        let (mut received, mut rate) = (0.0f64, 0.0f64);
+        let mut cursor = points[0];
+        let mut next_event = 0usize;
+        for &p in &points {
+            while next_event < events.len() && events[next_event].0 <= p {
+                let (et, dr) = events[next_event];
+                let et = et.max(cursor);
+                if et > cursor {
+                    received += rate * (et - cursor);
+                    cursor = et;
+                }
+                rate += dr;
+                next_event += 1;
+            }
+            if p > cursor {
+                received += rate * (p - cursor);
+                cursor = p;
+            }
+            let played = (p - play_start).clamp(0.0, play_end - play_start);
+            let consumed = (t.display_rate.value() * played * 60.0).min(total);
+            out.push((Minutes(p), Mbits((received - consumed).max(0.0))));
+        }
+        out
+    }
+
+    fn bits(profile: &[(Minutes, Mbits)]) -> Vec<(u64, u64)> {
+        profile
+            .iter()
+            .map(|(t, b)| (t.value().to_bits(), b.value().to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn one_walk_profile_matches_the_reference_bit_for_bit() {
+        let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+        let sb = Skyscraper::with_width(Width::Capped(52))
+            .plan(&cfg)
+            .unwrap();
+        let ppb = PermutationPyramid::b().plan(&cfg).unwrap();
+        let hb = HarmonicBroadcasting::delayed().plan(&cfg).unwrap();
+        let models: [(&ChannelPlan, &dyn ClientModel); 4] = [
+            (&sb, &ClientPolicy::LatestFeasible),
+            (&sb, &ClientPolicy::PbEarliest),
+            (&ppb, &PausingClient),
+            (&hb, &RecordingClient::default()),
+        ];
+        for (plan, model) in models {
+            for i in 0..60 {
+                let arrival = Minutes(0.731 * i as f64);
+                let t = model
+                    .session(
+                        plan,
+                        VideoId(i % plan.num_videos()),
+                        arrival,
+                        cfg.display_rate,
+                    )
+                    .unwrap();
+                let want = reference_profile(&t);
+                assert_eq!(bits(&t.buffer_profile()), bits(&want));
+                let peak = want.iter().map(|&(_, b)| b).fold(Mbits::ZERO, Mbits::max);
+                assert_eq!(t.peak_buffer().value().to_bits(), peak.value().to_bits());
+            }
+        }
+        // Breakpoints that coincide, nearly coincide (inside and just
+        // outside the 1e-12 merge), and precede playback.
+        let b = Mbps(1.5);
+        let rx = |start: f64, dur: f64| Reception {
+            segment: 0,
+            channel: 0,
+            start: Minutes(start),
+            duration: Minutes(dur),
+            rate: b,
+            content_offset: Mbits(0.0),
+            size: b * Minutes(dur),
+        };
+        let t = SessionTrace {
+            arrival: Minutes(0.0),
+            playback_start: Minutes(1.0),
+            display_rate: b,
+            segment_sizes: vec![b * Minutes(3.0)],
+            receptions: vec![
+                rx(0.5, 1.0),
+                rx(1.0, 1.0 + 5e-13),
+                rx(1.0 + 2e-12, 0.5),
+                rx(2.0, 1.0),
+                rx(0.5, 0.25),
+            ],
+        };
+        assert_eq!(bits(&t.buffer_profile()), bits(&reference_profile(&t)));
     }
 
     #[test]

@@ -49,6 +49,12 @@ pub enum SchemeError {
         /// Supported maximum.
         max: usize,
     },
+    /// Two metric snapshots of one run could not be merged: the same
+    /// family or series carried two instrument kinds or histogram shapes.
+    MetricMerge {
+        /// What clashed, naming the series.
+        what: String,
+    },
 }
 
 impl fmt::Display for SchemeError {
@@ -84,6 +90,7 @@ impl fmt::Display for SchemeError {
                     "{requested} segments requested, implementation supports {max}"
                 )
             }
+            SchemeError::MetricMerge { what } => write!(f, "metric merge failed: {what}"),
         }
     }
 }

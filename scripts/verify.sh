@@ -57,22 +57,29 @@ diff -u "$thr_dir/thr-1.out" "$thr_dir/thr-2.out"
 diff -u "$thr_dir/thr-1.out" "$thr_dir/thr-4.out"
 
 echo "==> scale smoke (sharded core, determinism across --shards 1/2/4 x --threads 1/4)"
+# --metrics too: each run's core registry is fed through series handles,
+# the sharded runs merge one snapshot per shard, and every shard count
+# must write the same snapshot bytes.
 scale_dir="$(mktemp -d)"
 trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 4; do
         cargo run -q -p sb-cli --bin sbcast -- scale --sessions 3000 --horizon 300 \
             --shards "$s" --threads "$n" \
-            --json "$scale_dir/scale-$s-$n.json" 2>/dev/null > "$scale_dir/scale-$s-$n.out"
+            --json "$scale_dir/scale-$s-$n.json" --metrics "$scale_dir/m-$s-$n.json" \
+            2>/dev/null > "$scale_dir/scale-$s-$n.out"
     done
 done
 test -s "$scale_dir/scale-1-1.json" || { echo "BENCH_scale.json is empty"; exit 1; }
+test -s "$scale_dir/m-1-1.json" || { echo "scale --metrics snapshot is empty"; exit 1; }
+grep -q '"sim_latency_minutes"' "$scale_dir/m-1-1.json"
 grep -q '"shard_peak_agenda"' "$scale_dir/scale-1-1.json"
 grep -q '"sessions_per_sim_second"' "$scale_dir/scale-1-1.json"
 for s in 1 2 4; do
     for n in 1 4; do
         diff -u "$scale_dir/scale-1-1.json" "$scale_dir/scale-$s-$n.json"
         diff -u "$scale_dir/scale-1-1.out" "$scale_dir/scale-$s-$n.out"
+        diff -u "$scale_dir/m-1-1.json" "$scale_dir/m-$s-$n.json"
     done
 done
 
