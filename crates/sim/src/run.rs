@@ -69,11 +69,10 @@ impl<'a, R> RunConfig<'a, R> {
 impl<'a, R, F> RunConfig<'a, R, F> {
     /// Stream every finished session trace into `sink`.
     ///
-    /// With `shards(1)` the sink observes traces as they finish, in
-    /// sweep order, retaining nothing. With more shards the executor
-    /// must buffer each shard's traces to replay them in global sweep
-    /// order — prefer the built-in streamed summary (the outcome's
-    /// `fold`) for large sharded populations.
+    /// The sink observes every trace in global sweep order. With
+    /// `shards(1)` it sees each as it finishes, retaining nothing; with
+    /// more shards the executor buffers one merge window of traces
+    /// (about a thousand sessions) at a time, however long the run.
     #[must_use]
     pub fn sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);

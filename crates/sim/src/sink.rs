@@ -15,7 +15,11 @@
 //!   memory is ~8 bytes per session instead of the whole reception list.
 //! * [`CollectTraces`] — the materializing path. Retains every trace,
 //!   because packet-level [`crate::e2e`] replay and fault re-injection
-//!   need the full reception lists.
+//!   need the full reception lists. It is a caller's choice only:
+//!   `SystemSim::execute` never collects on its own account. A sharded
+//!   run moves each merge window's traces into a buffer it clears once
+//!   the window has reached the caller's sink, so a sink that keeps
+//!   nothing costs no memory per session on any path.
 //!
 //! The two must agree **bitwise**: [`CollectTraces::summarize`] performs
 //! the same floating-point operations in the same (arrival) order as the

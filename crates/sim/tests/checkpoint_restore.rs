@@ -209,8 +209,55 @@ fn set_first_scalar(fields: &mut [(String, serde::Value)], col: usize, value: u6
     row[col] = serde::Value::UInt(value);
 }
 
+/// The first histogram family's first series value (the `h` object) in
+/// the payload's snapshot.
+fn first_histogram(fields: &mut [(String, serde::Value)]) -> &mut Vec<(String, serde::Value)> {
+    let serde::Value::Array(families) = field(fields, "snapshot") else {
+        panic!("snapshot is not an array")
+    };
+    let family = families
+        .iter_mut()
+        .find_map(|f| match f {
+            serde::Value::Object(fo)
+                if fo
+                    .iter()
+                    .any(|(k, v)| k == "kind" && v.as_str() == Some("histogram")) =>
+            {
+                Some(fo)
+            }
+            _ => None,
+        })
+        .expect("the snapshot holds a histogram family");
+    let serde::Value::Array(series) = field(family, "series") else {
+        panic!("series is not an array")
+    };
+    let serde::Value::Object(so) = &mut series[0] else {
+        panic!("a series is not an object")
+    };
+    let serde::Value::Object(value) = field(so, "value") else {
+        panic!("a series value is not an object")
+    };
+    let serde::Value::Object(h) = field(value, "h") else {
+        panic!("a histogram value is not an object")
+    };
+    h
+}
+
+/// The `key` array of the first histogram.
+fn histogram_array<'a>(
+    fields: &'a mut [(String, serde::Value)],
+    key: &str,
+) -> &'a mut Vec<serde::Value> {
+    let serde::Value::Array(values) = field(first_histogram(fields), key) else {
+        panic!("histogram.{key} is not an array")
+    };
+    values
+}
+
 /// A checksum-valid checkpoint whose scalars or peak do not fit the
-/// slice is rejected as corrupt before anything runs, never a panic.
+/// slice, or whose snapshot holds a histogram recording into it would
+/// index out of range, is rejected as corrupt before anything runs,
+/// never a panic.
 #[test]
 fn forged_scalar_rows_are_rejected_as_corrupt() {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));
@@ -233,7 +280,7 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
     let bytes = captured.expect("the first checkpoint was captured");
 
     type Edit = fn(&mut Vec<(String, serde::Value)>);
-    let forgeries: [(&str, Edit); 5] = [
+    let forgeries: [(&str, Edit); 12] = [
         ("more scalars than the slice holds", |f| {
             let rows = scalar_rows(f);
             let first = rows[0].clone();
@@ -248,6 +295,44 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
         }),
         ("a peak below the sessions still playing", |f| {
             *field(f, "peak_active") = serde::Value::UInt(0)
+        }),
+        ("histogram counts cut to one bucket", |f| {
+            histogram_array(f, "counts").truncate(1)
+        }),
+        ("a histogram bucket more than its bounds allow", |f| {
+            histogram_array(f, "counts").push(serde::Value::UInt(0))
+        }),
+        ("histogram bounds emptied", |f| {
+            histogram_array(f, "bounds").clear();
+            let counts = histogram_array(f, "counts");
+            let total = counts.iter().map(|c| c.as_u64().unwrap()).sum();
+            *counts = vec![serde::Value::UInt(total)];
+        }),
+        ("a non-finite histogram bound", |f| {
+            histogram_array(f, "bounds")[0] = serde::Value::UInt(f64::NAN.to_bits())
+        }),
+        ("histogram bounds out of order", |f| {
+            histogram_array(f, "bounds").swap(0, 1)
+        }),
+        ("a histogram count off its buckets' sum", |f| {
+            let h = first_histogram(f);
+            let count = field(h, "count").as_u64().unwrap();
+            *field(h, "count") = serde::Value::UInt(count + 1);
+        }),
+        ("a histogram value in a counter family", |f| {
+            let serde::Value::Array(families) = field(f, "snapshot") else {
+                panic!("snapshot is not an array")
+            };
+            for family in families {
+                let serde::Value::Object(fo) = family else {
+                    panic!("a family is not an object")
+                };
+                let kind = field(fo, "kind");
+                if kind.as_str() == Some("histogram") {
+                    *kind = serde::Value::Str("counter".to_string());
+                    return;
+                }
+            }
         }),
     ];
     for (what, edit) in forgeries {
