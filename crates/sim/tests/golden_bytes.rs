@@ -31,22 +31,32 @@ fn digest(value: &impl Serialize) -> u64 {
     })
 }
 
-/// The three client models on the plans their schemes prescribe.
+/// The client models on the plans their schemes prescribe, plus the
+/// latest-feasible client on PPB:b, whose several carriers per segment
+/// let the arrival filter bind.
 fn lineup() -> Vec<(&'static str, ChannelPlan, Box<dyn ClientModel>)> {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    let sb = Skyscraper::with_width(Width::Capped(52))
+        .plan(&cfg)
+        .unwrap();
+    let ppb = PermutationPyramid::b().plan(&cfg).unwrap();
     vec![
         (
             "latest-feasible on SB:W=52",
-            Skyscraper::with_width(Width::Capped(52))
-                .plan(&cfg)
-                .unwrap(),
+            sb.clone(),
             Box::new(ClientPolicy::LatestFeasible),
         ),
         (
-            "pausing on PPB:b",
-            PermutationPyramid::b().plan(&cfg).unwrap(),
-            Box::new(PausingClient),
+            "pb-earliest on SB:W=52",
+            sb,
+            Box::new(ClientPolicy::PbEarliest),
         ),
+        (
+            "latest-feasible on PPB:b",
+            ppb.clone(),
+            Box::new(ClientPolicy::LatestFeasible),
+        ),
+        ("pausing on PPB:b", ppb, Box::new(PausingClient)),
         (
             "recording on HB",
             HarmonicBroadcasting::delayed().plan(&cfg).unwrap(),
@@ -120,7 +130,7 @@ fn digests(plan: &ChannelPlan, model: &dyn ClientModel, shards: usize) -> [u64; 
 
 #[test]
 fn execute_bytes_are_pinned_for_every_model_and_shard_count() {
-    let expected: [(&str, [u64; 5]); 3] = [
+    let expected: [(&str, [u64; 5]); 5] = [
         (
             "latest-feasible on SB:W=52",
             [
@@ -129,6 +139,26 @@ fn execute_bytes_are_pinned_for_every_model_and_shard_count() {
                 0xb8a1_4a10_0336_6f6a,
                 0xf596_5408_37ce_58a2,
                 0xacde_7e9e_73d0_e9bd,
+            ],
+        ),
+        (
+            "pb-earliest on SB:W=52",
+            [
+                0x6b79_bb26_01be_8446,
+                0xbd5f_2c03_8ab5_84f9,
+                0x1b63_6562_5d1a_7341,
+                0x0cf9_15fc_8791_aa51,
+                0xbd5f_2c03_8ab5_84f9,
+            ],
+        ),
+        (
+            "latest-feasible on PPB:b",
+            [
+                0x37e6_e01c_8439_2b08,
+                0x3db3_2c3e_4d22_90d9,
+                0x700a_0fc1_8d45_2586,
+                0xad46_73e0_8257_a75c,
+                0x3db3_2c3e_4d22_90d9,
             ],
         ),
         (
