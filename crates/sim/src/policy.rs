@@ -195,7 +195,7 @@ pub fn schedule_client_indexed(
 
 /// The earliest broadcast start of `item` at or after `t`, over all
 /// carrying channels. Returns `(channel id, start)`.
-fn earliest_start(
+pub(crate) fn earliest_start(
     index: &PlanIndex<'_>,
     item: BroadcastItem,
     t: Minutes,

@@ -31,11 +31,13 @@
 use serde::{Deserialize, Serialize};
 use vod_units::{MBytes, Mbits, Mbps, Minutes};
 
-use sb_core::plan::{ChannelPlan, PlanIndex, VideoId};
+use sb_core::plan::{BroadcastItem, ChannelPlan, PlanIndex, VideoId};
 
 use crate::cycle_record::{record_cycles, record_cycles_indexed};
 use crate::pausing::{schedule_pausing_client, PausingSchedule};
-use crate::policy::{schedule_client, schedule_client_indexed, ClientPolicy, PolicyError};
+use crate::policy::{
+    earliest_start, schedule_client, schedule_client_indexed, ClientPolicy, PolicyError,
+};
 use crate::receive_all::{record_all, record_all_indexed};
 use crate::schedule::ClientSchedule;
 
@@ -87,7 +89,7 @@ pub struct TraceViolation {
 }
 
 /// The complete record of one client session, scheme-agnostic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct SessionTrace {
     /// Arrival time of the request.
     pub arrival: Minutes,
@@ -99,6 +101,28 @@ pub struct SessionTrace {
     pub segment_sizes: Vec<Mbits>,
     /// All receptions (any order; whole segments or interior intervals).
     pub receptions: Vec<Reception>,
+}
+
+impl Clone for SessionTrace {
+    fn clone(&self) -> Self {
+        Self {
+            arrival: self.arrival,
+            playback_start: self.playback_start,
+            display_rate: self.display_rate,
+            segment_sizes: self.segment_sizes.clone(),
+            receptions: self.receptions.clone(),
+        }
+    }
+
+    /// Copies into `self`'s own buffers, so refilling a trace allocates
+    /// only when the source outgrows them.
+    fn clone_from(&mut self, source: &Self) {
+        self.arrival = source.arrival;
+        self.playback_start = source.playback_start;
+        self.display_rate = source.display_rate;
+        self.segment_sizes.clone_from(&source.segment_sizes);
+        self.receptions.clone_from(&source.receptions);
+    }
 }
 
 impl SessionTrace {
@@ -420,6 +444,32 @@ impl SessionTrace {
 /// `Sync` is a supertrait because the sharded executor shares one model
 /// across its shard workers; models are pure functions of their inputs
 /// (all implementors here are plain data), so this costs nothing.
+///
+/// Under periodic broadcast, clients that catch the same broadcast of
+/// segment 0 receive the same data on the same channels at the same
+/// instants; only their start-up wait differs. A model whose sessions
+/// depend on the arrival in no other way says so through
+/// [`ClientModel::reuses`], and the simulator then serves such a
+/// session from the last one scheduled for the video instead of
+/// scheduling it again. The answer must be exact: `true` only when
+/// [`ClientModel::session_indexed`] at `arrival` would return the cached
+/// trace bit for bit, apart from its `arrival` field.
+///
+/// * [`ClientPolicy`]: the same caught broadcast of segment 0 (start
+///   bits and channel), and every cached reception passes the
+///   latest-feasible arrival filter `start >= arrival - 1e-9` — the
+///   filtered maximum then picks the same start on the same first
+///   carrier. PB's earliest rule reads the arrival only through the
+///   caught broadcast.
+/// * [`PausingClient`]: the same caught broadcast and replica, and no
+///   cached burst fails the reverse greedy's `s + 1e-9 < arrival`, its
+///   only other arrival term.
+/// * [`RecordingClient`] keeps the default: HB's client starts every
+///   reception at the arrival instant.
+/// * [`CycleRecordingClient`] keeps the default too: its trace depends
+///   only on the tune-in slot, but a CTIFB trace at its segment cap
+///   holds 65,535 receptions, and a kept copy per video per shard would
+///   cost that much memory for each.
 pub trait ClientModel: Sync {
     /// Compute the session for one client arrival.
     fn session(
@@ -443,6 +493,31 @@ pub trait ClientModel: Sync {
     ) -> Result<SessionTrace, PolicyError> {
         self.session(index.plan(), video, arrival, display_rate)
     }
+
+    /// Whether the session of `video` arriving at `arrival` is `cached`
+    /// (a trace this model scheduled for `video` against `index`) with
+    /// only its arrival changed. See the trait docs for each model's
+    /// contract; the default, `false`, shares nothing.
+    fn reuses(
+        &self,
+        _index: &PlanIndex<'_>,
+        _video: VideoId,
+        _cached: &SessionTrace,
+        _arrival: Minutes,
+    ) -> bool {
+        false
+    }
+}
+
+/// Whether `cached` caught the broadcast of segment 0 that starts at
+/// `start` on `channel`: the same start bits, the same channel.
+fn catches(cached: &SessionTrace, channel: usize, start: Minutes) -> bool {
+    cached.playback_start.value().to_bits() == start.value().to_bits()
+        && cached
+            .receptions
+            .iter()
+            .find(|rx| rx.segment == 0)
+            .is_some_and(|rx| rx.channel == channel)
 }
 
 impl<M: ClientModel + ?Sized> ClientModel for &M {
@@ -465,6 +540,16 @@ impl<M: ClientModel + ?Sized> ClientModel for &M {
     ) -> Result<SessionTrace, PolicyError> {
         (**self).session_indexed(index, video, arrival, display_rate)
     }
+
+    fn reuses(
+        &self,
+        index: &PlanIndex<'_>,
+        video: VideoId,
+        cached: &SessionTrace,
+        arrival: Minutes,
+    ) -> bool {
+        (**self).reuses(index, video, cached, arrival)
+    }
 }
 
 impl ClientModel for Box<dyn ClientModel + '_> {
@@ -486,6 +571,16 @@ impl ClientModel for Box<dyn ClientModel + '_> {
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
         (**self).session_indexed(index, video, arrival, display_rate)
+    }
+
+    fn reuses(
+        &self,
+        index: &PlanIndex<'_>,
+        video: VideoId,
+        cached: &SessionTrace,
+        arrival: Minutes,
+    ) -> bool {
+        (**self).reuses(index, video, cached, arrival)
     }
 }
 
@@ -510,6 +605,21 @@ impl ClientModel for ClientPolicy {
         schedule_client_indexed(index, video, arrival, display_rate, *self)
             .map(ClientSchedule::into_trace)
     }
+
+    fn reuses(
+        &self,
+        index: &PlanIndex<'_>,
+        video: VideoId,
+        cached: &SessionTrace,
+        arrival: Minutes,
+    ) -> bool {
+        earliest_start(index, BroadcastItem { video, segment: 0 }, arrival)
+            .is_some_and(|(channel, start)| catches(cached, channel, start))
+            && cached
+                .receptions
+                .iter()
+                .all(|rx| rx.start.value() >= arrival.value() - 1e-9)
+    }
 }
 
 /// The PPB max-saving client as a [`ClientModel`]
@@ -526,6 +636,32 @@ impl ClientModel for PausingClient {
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
         schedule_pausing_client(plan, video, arrival, display_rate).map(PausingSchedule::into_trace)
+    }
+
+    fn reuses(
+        &self,
+        index: &PlanIndex<'_>,
+        video: VideoId,
+        cached: &SessionTrace,
+        arrival: Minutes,
+    ) -> bool {
+        // `schedule_pausing_client`'s caught start and replica, through
+        // the index (bit-identical to its `next_start_of` scan): the
+        // earliest start, then the first carrier within 1e-9 of it.
+        let first = BroadcastItem { video, segment: 0 };
+        let Some((_, start)) = earliest_start(index, first, arrival) else {
+            return false;
+        };
+        let carriers = index.carriers(first);
+        let replica = carriers
+            .iter()
+            .find(|occ| index.next_start(occ, arrival).approx_eq(start, 1e-9))
+            .unwrap_or(&carriers[0]);
+        catches(cached, index.channel(replica).id, start)
+            && !cached
+                .receptions
+                .iter()
+                .any(|rx| rx.start.value() + 1e-9 < arrival.value())
     }
 }
 
