@@ -33,6 +33,8 @@
 //! round. This is a persistence format, not an artifact format — the
 //! run's published JSON artifacts are unchanged.
 
+use std::collections::BTreeMap;
+
 use sb_metrics::{
     FamilySnapshot, HistogramValue, MetricKind, MetricValue, SeriesSnapshot, Snapshot,
 };
@@ -309,6 +311,37 @@ impl CheckpointState {
                     sc.idx,
                     sc.tick,
                     order.tick(pos)
+                ));
+            }
+        }
+        // Each video's session counter and histograms count exactly its
+        // captured sessions; any other count is forged, and one near
+        // `u64::MAX` would overflow on the video's next session.
+        let mut served: BTreeMap<String, u64> = BTreeMap::new();
+        for sc in &self.scalars {
+            *served
+                .entry(format!("video={}", order.video(sc.idx).0))
+                .or_default() += 1;
+        }
+        for name in [
+            "sim_sessions_total",
+            "sim_latency_minutes",
+            "sim_peak_buffer_mbits",
+        ] {
+            let series = self.snapshot.family(name).map_or(&[][..], |f| &f.series);
+            let fits = series.len() == served.len()
+                && series.iter().all(|s| {
+                    let count = match &s.value {
+                        MetricValue::Counter(c) => Some(*c),
+                        MetricValue::Histogram(h) => Some(h.count),
+                        MetricValue::Gauge(_) => None,
+                    };
+                    count.is_some() && served.get(&s.labels).copied() == count
+                });
+            if !fits {
+                return malformed(format!(
+                    "{name}: series counts differ from the {} sessions served per video",
+                    self.scalars.len()
                 ));
             }
         }

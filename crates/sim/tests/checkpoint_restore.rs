@@ -255,9 +255,10 @@ fn histogram_array<'a>(
 }
 
 /// A checksum-valid checkpoint whose scalars or peak do not fit the
-/// slice, or whose snapshot holds a histogram recording into it would
-/// index out of range, is rejected as corrupt before anything runs,
-/// never a panic.
+/// slice, whose snapshot holds a histogram recording into it would
+/// index out of range, or whose session counts differ from the sessions
+/// it served, is rejected as corrupt before anything runs, never a
+/// panic.
 #[test]
 fn forged_scalar_rows_are_rejected_as_corrupt() {
     let cfg = SystemConfig::paper_defaults(Mbps(320.0));
@@ -280,7 +281,7 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
     let bytes = captured.expect("the first checkpoint was captured");
 
     type Edit = fn(&mut Vec<(String, serde::Value)>);
-    let forgeries: [(&str, Edit); 12] = [
+    let forgeries: [(&str, Edit); 13] = [
         ("more scalars than the slice holds", |f| {
             let rows = scalar_rows(f);
             let first = rows[0].clone();
@@ -318,6 +319,31 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
             let h = first_histogram(f);
             let count = field(h, "count").as_u64().unwrap();
             *field(h, "count") = serde::Value::UInt(count + 1);
+        }),
+        ("a session counter at u64::MAX", |f| {
+            let serde::Value::Array(families) = field(f, "snapshot") else {
+                panic!("snapshot is not an array")
+            };
+            for family in families {
+                let serde::Value::Object(fo) = family else {
+                    panic!("a family is not an object")
+                };
+                if field(fo, "name").as_str() != Some("sim_sessions_total") {
+                    continue;
+                }
+                let serde::Value::Array(series) = field(fo, "series") else {
+                    panic!("series is not an array")
+                };
+                let serde::Value::Object(so) = &mut series[0] else {
+                    panic!("a series is not an object")
+                };
+                let serde::Value::Object(vo) = field(so, "value") else {
+                    panic!("a value is not an object")
+                };
+                *field(vo, "c") = serde::Value::UInt(u64::MAX);
+                return;
+            }
+            panic!("no sim_sessions_total family");
         }),
         ("a histogram value in a counter family", |f| {
             let serde::Value::Array(families) = field(f, "snapshot") else {
