@@ -33,12 +33,10 @@ use vod_units::{MBytes, Mbits, Mbps, Minutes};
 
 use sb_core::plan::{BroadcastItem, ChannelPlan, PlanIndex, VideoId};
 
-use crate::cycle_record::{record_cycles, record_cycles_indexed};
+use crate::cycle_record::record_cycles_indexed;
 use crate::pausing::{schedule_pausing_client, PausingSchedule};
-use crate::policy::{
-    earliest_start, schedule_client, schedule_client_indexed, ClientPolicy, PolicyError,
-};
-use crate::receive_all::{record_all, record_all_indexed};
+use crate::policy::{earliest_start, schedule_client_indexed, ClientPolicy, PolicyError};
+use crate::receive_all::record_all_indexed;
 use crate::schedule::ClientSchedule;
 
 /// One contiguous constant-rate delivery of part of a segment.
@@ -471,27 +469,28 @@ impl SessionTrace {
 ///   holds 65,535 receptions, and a kept copy per video per shard would
 ///   cost that much memory for each.
 pub trait ClientModel: Sync {
-    /// Compute the session for one client arrival.
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError>;
-
-    /// [`ClientModel::session`] against a prebuilt [`PlanIndex`] — same
-    /// trace, bit for bit. The engine builds the index once per run and
-    /// calls this for every arrival; models with an indexed scheduler
-    /// override it, everything else falls back to the scanning path.
+    /// Compute the session for one client arrival against a prebuilt
+    /// [`PlanIndex`]. The simulator builds the index once per run and
+    /// calls this for every arrival.
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
         video: VideoId,
         arrival: Minutes,
         display_rate: Mbps,
+    ) -> Result<SessionTrace, PolicyError>;
+
+    /// [`ClientModel::session_indexed`] against a throwaway index of
+    /// `plan` — same trace, bit for bit. Callers scheduling many sessions
+    /// against one plan should build the index once instead.
+    fn session(
+        &self,
+        plan: &ChannelPlan,
+        video: VideoId,
+        arrival: Minutes,
+        display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
-        self.session(index.plan(), video, arrival, display_rate)
+        self.session_indexed(&plan.index(), video, arrival, display_rate)
     }
 
     /// Whether the session of `video` arriving at `arrival` is `cached`
@@ -521,16 +520,6 @@ fn catches(cached: &SessionTrace, channel: usize, start: Minutes) -> bool {
 }
 
 impl<M: ClientModel + ?Sized> ClientModel for &M {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        (**self).session(plan, video, arrival, display_rate)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -553,16 +542,6 @@ impl<M: ClientModel + ?Sized> ClientModel for &M {
 }
 
 impl ClientModel for Box<dyn ClientModel + '_> {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        (**self).session(plan, video, arrival, display_rate)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -585,16 +564,6 @@ impl ClientModel for Box<dyn ClientModel + '_> {
 }
 
 impl ClientModel for ClientPolicy {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        schedule_client(plan, video, arrival, display_rate, *self).map(ClientSchedule::into_trace)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -628,14 +597,15 @@ impl ClientModel for ClientPolicy {
 pub struct PausingClient;
 
 impl ClientModel for PausingClient {
-    fn session(
+    fn session_indexed(
         &self,
-        plan: &ChannelPlan,
+        index: &PlanIndex<'_>,
         video: VideoId,
         arrival: Minutes,
         display_rate: Mbps,
     ) -> Result<SessionTrace, PolicyError> {
-        schedule_pausing_client(plan, video, arrival, display_rate).map(PausingSchedule::into_trace)
+        schedule_pausing_client(index.plan(), video, arrival, display_rate)
+            .map(PausingSchedule::into_trace)
     }
 
     fn reuses(
@@ -675,16 +645,6 @@ pub struct RecordingClient {
 }
 
 impl ClientModel for RecordingClient {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        record_all(plan, video, arrival, display_rate, self.playback_delay).map(|s| s.trace())
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -704,16 +664,6 @@ impl ClientModel for RecordingClient {
 pub struct CycleRecordingClient;
 
 impl ClientModel for CycleRecordingClient {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        record_cycles(plan, video, arrival, display_rate)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -728,6 +678,7 @@ impl ClientModel for CycleRecordingClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::schedule_client;
     use sb_core::config::SystemConfig;
     use sb_core::scheme::BroadcastScheme;
     use sb_core::series::Width;

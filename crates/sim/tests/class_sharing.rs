@@ -33,21 +33,11 @@ use sb_sim::{CollectTraces, RunConfig};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A model that schedules every session itself: it forwards the two
-/// scheduling methods and keeps every other method's default.
+/// A model that schedules every session itself: it forwards the
+/// scheduling method and keeps every other method's default.
 struct Unshared<'m>(&'m dyn ClientModel);
 
 impl ClientModel for Unshared<'_> {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        self.0.session(plan, video, arrival, display_rate)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
@@ -221,16 +211,6 @@ proptest! {
 struct Counting(AtomicUsize);
 
 impl ClientModel for Counting {
-    fn session(
-        &self,
-        plan: &ChannelPlan,
-        video: VideoId,
-        arrival: Minutes,
-        display_rate: Mbps,
-    ) -> Result<SessionTrace, PolicyError> {
-        PausingClient.session(plan, video, arrival, display_rate)
-    }
-
     fn session_indexed(
         &self,
         index: &PlanIndex<'_>,
