@@ -16,7 +16,6 @@
 //! | [`control_study`] | static-vs-dynamic channel allocation under a popularity shift |
 //! | [`resilience_study`] | schemes under bursty loss/outages and the control plane's recovery |
 //! | [`recovery_study`] | checkpoint-cadence trade under the crash-recovery supervisor: checkpoints vs replayed sessions, byte-identity re-verified per cell |
-//! | [`throughput`] | streaming-core throughput cells and the agenda-churn compaction stress |
 //! | [`scale_study`] | sharded scale-out: per-shard agenda footprint and sim-time rates vs `S` |
 //! | [`scenario_study`] | metropolitan scenarios: per-region-class SB vs baselines, flash crowds, correlated outages, diurnal × density |
 //! | [`mod@distribution_study`] | the distributed tier: placement policies × peer assist priced against the Viennot source-once bound |
@@ -46,7 +45,6 @@ pub mod scenario_study;
 pub mod study;
 pub mod sweep;
 pub mod tables;
-pub mod throughput;
 
 pub use distribution_study::{
     distribution_study, render_distribution, DistributionReport, DistributionStudyConfig,

@@ -30,13 +30,12 @@ use sb_core::error::{Result, SchemeError};
 use sb_core::plan::VideoId;
 use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
 use sb_resilience::{replay, Degradation, FaultScript, GilbertElliott, ScriptedLoss};
-use sb_sim::policy::ClientPolicy;
-use sb_sim::trace::{ClientModel, PausingClient, RecordingClient};
 use sb_sim::{LossModel, LossProcess, RunConfig};
 use sb_workload::{Catalog, Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
 
 use crate::lineup::SchemeId;
 use crate::runner::Runner;
+use crate::scenario_study::model_for;
 
 /// How a loss condition realises its mean rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -237,16 +236,6 @@ impl Recorder for Labeled<'_> {
     }
 }
 
-/// The client model each scheme's receivers follow in this study.
-fn model_for(id: SchemeId) -> Box<dyn ClientModel> {
-    match id {
-        SchemeId::PbA | SchemeId::PbB => Box::new(ClientPolicy::PbEarliest),
-        SchemeId::PpbA | SchemeId::PpbB => Box::new(PausingClient),
-        SchemeId::Harmonic => Box::new(RecordingClient::default()),
-        _ => Box::new(ClientPolicy::LatestFeasible),
-    }
-}
-
 /// Deterministic arrival-phase fraction in `(0, 1)` from a seed
 /// (splitmix-style scramble; the same rule [`crate::crosscheck`] uses).
 fn phase_of(seed: u64) -> f64 {
@@ -290,6 +279,7 @@ fn run_sessions<L: LossProcess>(
     let &(id, kind, rate, seed) = point;
     let losses = ScriptedLoss::compile(plan, &cfg.script, base);
     let model = model_for(id);
+    let index = plan.index();
     let phase = phase_of(seed);
 
     let mut reg = Registry::new();
@@ -318,7 +308,7 @@ fn run_sessions<L: LossProcess>(
     for i in 0..cfg.samples {
         let arrival = Minutes(cfg.horizon.value() * (i as f64 + phase) / cfg.samples as f64);
         let trace = model
-            .session(plan, VideoId(0), arrival, sys.display_rate)
+            .session_indexed(&index, VideoId(0), arrival, sys.display_rate)
             .ok()?;
         sessions += 1;
         latency_sum += trace.startup_latency().value();

@@ -59,8 +59,8 @@ use sb_workload::{
 use crate::lineup::SchemeId;
 use crate::runner::Runner;
 
-/// The client model each scheme's receivers follow (the same map the
-/// resilience and throughput studies use).
+/// The client model each scheme's receivers follow (the resilience
+/// study uses the same map).
 pub(crate) fn model_for(id: SchemeId) -> Box<dyn ClientModel> {
     match id {
         SchemeId::PbA | SchemeId::PbB => Box::new(ClientPolicy::PbEarliest),

@@ -16,8 +16,8 @@
 //! [`StudyOutput::rendered`] to stdout and writes
 //! [`StudyOutput::report_json`] to the artifact path (or `--json`).
 //! Both are byte-identical for every `--threads` and `--shards`.
-//! Wall-clock rates come from [`StudyOutput::sessions`] /
-//! [`StudyOutput::events`] and go to stderr only.
+//! The wall-clock rate comes from [`StudyOutput::sessions`] and goes to
+//! stderr only.
 //!
 //! The paper's artifacts — `table1`, `table2`, `fig1_4`, `fig5`–`fig8`,
 //! `crosscheck`, `ablation` and `landscape` — are fixed evaluations:
@@ -60,7 +60,6 @@ use crate::scale_study::{render_scale, scale_study, ScaleConfig};
 use crate::scenario_study::{render_scenario, scenario_study, ScenarioStudyConfig};
 use crate::sweep::{paper_sweep_with, SweepRow};
 use crate::tables::{evaluate_tables_with, table1_formulas, table2_rules};
-use crate::throughput::{render_throughput, throughput_study, ThroughputConfig};
 use crate::{figures, hybrid_study};
 
 /// The `--key value` flag map of one `sbcast` invocation, which every
@@ -186,8 +185,6 @@ pub struct StudyOutput {
     /// Sessions the study simulated, denominating the stderr wall-clock
     /// rate (0 when a rate would be meaningless).
     pub sessions: usize,
-    /// Engine events the study fired, same purpose.
-    pub events: u64,
 }
 
 impl StudyOutput {
@@ -198,7 +195,6 @@ impl StudyOutput {
             report_json: serde_json::to_string_pretty(report).map_err(|e| e.to_string())?,
             metrics: None,
             sessions: 0,
-            events: 0,
         })
     }
 
@@ -208,10 +204,9 @@ impl StudyOutput {
         self
     }
 
-    /// Attach the wall-clock denominators.
-    fn with_rates(mut self, sessions: usize, events: u64) -> Self {
+    /// Attach the wall-clock denominator.
+    fn with_rates(mut self, sessions: usize) -> Self {
         self.sessions = sessions;
-        self.events = events;
         self
     }
 }
@@ -493,42 +488,6 @@ impl Study for ResilienceStudy {
     }
 }
 
-/// Streaming-core throughput plus the agenda-churn compaction stress.
-struct ThroughputStudy;
-
-impl Study for ThroughputStudy {
-    fn name(&self) -> &'static str {
-        "throughput"
-    }
-
-    fn artifact(&self) -> Option<&'static str> {
-        Some("BENCH_throughput.json")
-    }
-
-    fn run(&self, ctx: &StudyCtx<'_>) -> Result<StudyOutput, String> {
-        let o = ctx.opts;
-        let mut cfg = ThroughputConfig::paper_defaults();
-        cfg.bandwidth = Mbps(o.get_f64("bandwidth", cfg.bandwidth.value())?);
-        cfg.schemes = match o.get("scheme") {
-            None => cfg.schemes,
-            Some(s) => schemes_from(s)?,
-        };
-        cfg.sessions = o.get_usize("samples", cfg.sessions)?;
-        cfg.horizon = Minutes(o.get_positive("horizon", cfg.horizon.value())?);
-        cfg.churn_cancels = o.get_usize("churn-cancels", cfg.churn_cancels as usize)? as u64;
-        cfg.seed = o.get_u64("seed", cfg.seed)?;
-        let (report, snapshot) = throughput_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
-        let churn_events = report.churn.engine.fired + report.churn.engine.cancelled;
-        let (sessions, events) = (
-            report.total_sessions,
-            report.total_events_fired + churn_events,
-        );
-        Ok(StudyOutput::of(render_throughput(&report), &report)?
-            .with_metrics(snapshot)
-            .with_rates(sessions, events))
-    }
-}
-
 /// Sharded scale-out: per-shard agenda footprint and sim-time rates.
 struct ScaleStudy;
 
@@ -558,13 +517,9 @@ impl Study for ScaleStudy {
         // One pass per grid cell plus the flagship: the wall-rate
         // denominator counts what actually streamed.
         let passes = report.cells.len() + 1;
-        let (sessions, events) = (
-            report.total_sessions * passes,
-            report.total_events_fired * passes as u64,
-        );
         Ok(StudyOutput::of(render_scale(&report), &report)?
             .with_metrics(snapshot)
-            .with_rates(sessions, events))
+            .with_rates(report.total_sessions * passes))
     }
 }
 
@@ -606,10 +561,9 @@ impl Study for ScenarioStudy {
         cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) =
             scenario_study(&cfg, ctx.shards, ctx.runner).map_err(|e| e.to_string())?;
-        let (sessions, events) = (report.total_sessions, report.total_events_fired);
         Ok(StudyOutput::of(render_scenario(&report), &report)?
             .with_metrics(snapshot)
-            .with_rates(sessions, events))
+            .with_rates(report.total_sessions))
     }
 }
 
@@ -662,10 +616,9 @@ impl Study for RecoveryStudy {
         let report = recovery_study(&cfg, ctx.runner).map_err(|e| e.to_string())?;
         // One baseline pass plus one supervised pass per cadence cell
         // (replays run on top, but they are part of the measurement, not
-        // the denominator); events count the sessions chaos replayed.
+        // the denominator).
         let sessions = report.fold.sessions * (report.rows.len() + 1);
-        let replayed: u64 = report.rows.iter().map(|r| r.replayed_sessions).sum();
-        Ok(StudyOutput::of(render_recovery(&report), &report)?.with_rates(sessions, replayed))
+        Ok(StudyOutput::of(render_recovery(&report), &report)?.with_rates(sessions))
     }
 }
 
@@ -753,10 +706,9 @@ impl Study for DistributionStudy {
         cfg.seed = o.get_u64("seed", cfg.seed)?;
         let (report, snapshot) =
             distribution_study(&cfg, ctx.shards, ctx.runner).map_err(|e| e.to_string())?;
-        let (sessions, events) = (report.total_sessions, report.total_events_fired);
         Ok(StudyOutput::of(render_distribution(&report), &report)?
             .with_metrics(snapshot)
-            .with_rates(sessions, events))
+            .with_rates(report.total_sessions))
     }
 }
 
@@ -956,7 +908,6 @@ pub fn registry() -> &'static [&'static dyn Study] {
         &HybridStudy,
         &ControlStudy,
         &ResilienceStudy,
-        &ThroughputStudy,
         &ScaleStudy,
         &ScenarioStudy,
         &RecoveryStudy,
@@ -996,7 +947,6 @@ mod tests {
                 "hybrid",
                 "control",
                 "resilience",
-                "throughput",
                 "scale",
                 "scenario",
                 "recovery",

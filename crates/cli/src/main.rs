@@ -13,8 +13,6 @@
 //!                                                       control under a popularity shift
 //! sbcast resilience --horizon 200 --seeds 7 --threads 2 the fault study: schemes under
 //!                                                       bursty loss/outages + recovery
-//! sbcast throughput --samples 300 --threads 4           streaming-core throughput +
-//!                                                       agenda-churn stress -> BENCH_throughput.json
 //! sbcast scale    --shards 4 --threads 4                sharded scale-out: agenda footprint
 //!                                                       and sim-time rates -> BENCH_scale.json
 //! sbcast scenario --preset urban --shards 4             metropolitan scenario pack: regional
@@ -331,9 +329,6 @@ fn run_study(study: &'static dyn Study, opts: &StudyOpts) -> Result<(), String> 
             );
             if out.sessions > 0 {
                 line.push_str(&format!(", {:.0} sessions/sec", out.sessions as f64 / wall));
-            }
-            if out.events > 0 {
-                line.push_str(&format!(", {:.0} events/sec", out.events as f64 / wall));
             }
             eprintln!("{line}");
             let path = common.json.clone().unwrap_or_else(|| default.to_string());

@@ -560,12 +560,16 @@ mod tests {
             "peak agenda {}",
             s.peak_agenda
         );
+        assert_eq!(s.cancelled, 40_000);
         assert_eq!(eng.pending(), live_target);
         assert_eq!(s.scheduled, s.fired + s.cancelled + eng.pending() as u64);
-        // The survivors still fire in order.
+        // The survivors still fire in order, and the drained agenda
+        // conserves every event.
         let mut fired = 0usize;
         eng.run(|_, _, _| fired += 1);
         assert_eq!(fired, live_target);
+        let s = eng.stats();
+        assert_eq!(s.scheduled, s.fired + s.cancelled);
     }
 
     #[test]

@@ -35,33 +35,19 @@ cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11 --thread
 
 echo "==> resilience smoke (fault study, determinism across reruns)"
 res_a="$(mktemp)"; res_b="$(mktemp)"
-thr_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"' EXIT
 cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
     2>/dev/null > "$res_a"
 cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
     2>/dev/null > "$res_b"
 diff -u "$res_a" "$res_b"
 
-echo "==> throughput smoke (streaming core, determinism across --threads 1/2/4)"
-for n in 1 2 4; do
-    cargo run -q -p sb-cli --bin sbcast -- throughput --samples 40 --threads "$n" \
-        --json "$thr_dir/thr-$n.json" 2>/dev/null > "$thr_dir/thr-$n.out"
-done
-test -s "$thr_dir/thr-1.json" || { echo "BENCH_throughput.json is empty"; exit 1; }
-grep -q '"peak_agenda"' "$thr_dir/thr-1.json"
-grep -q '"churn"' "$thr_dir/thr-1.json"
-diff -u "$thr_dir/thr-1.json" "$thr_dir/thr-2.json"
-diff -u "$thr_dir/thr-1.json" "$thr_dir/thr-4.json"
-diff -u "$thr_dir/thr-1.out" "$thr_dir/thr-2.out"
-diff -u "$thr_dir/thr-1.out" "$thr_dir/thr-4.out"
-
 echo "==> scale smoke (sharded core, determinism across --shards 1/2/4 x --threads 1/4)"
 # --metrics too: each run's core registry is fed through series handles,
 # the sharded runs merge one snapshot per shard, and every shard count
 # must write the same snapshot bytes.
 scale_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 4; do
         cargo run -q -p sb-cli --bin sbcast -- scale --sessions 3000 --horizon 300 \
@@ -85,7 +71,7 @@ done
 
 echo "==> scenario smoke (metro pack, determinism across --shards x --threads)"
 scn_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir"' EXIT
 for combo in "1 1" "2 4" "4 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- scenario --profile smoke \
@@ -108,7 +94,7 @@ echo "==> recovery smoke (kill/resume byte identity over --shards x --threads)"
 # "identical to uninterrupted execute: yes" (the binary exits nonzero on
 # divergence) at every shard count and thread count.
 rec_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 2; do
         chaos="kill:0@ckpt:1;kill:0@tick:40000"
@@ -166,7 +152,7 @@ echo "==> frontier smoke (scheme zoo Pareto frontier, 4-way over --shards x --th
 # The frontier artifact must be byte-identical — JSON and stdout — for
 # every knob combination: {shards 1, 2} x {threads 1, 2}.
 fr_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke \
@@ -200,7 +186,7 @@ echo "==> distribution smoke (distributed tier, 4-way over --shards x --threads)
 # The distributed-tier artifact must be byte-identical — JSON and stdout —
 # for every knob combination: {shards 1, 2} x {threads 1, 2}.
 dist_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$thr_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- distribution --profile smoke \
@@ -229,11 +215,6 @@ test -s "$dist_dir/BENCH_distribution.json" || { echo "BENCH_distribution.json m
 
 echo "==> release profile keeps integer overflow checks on"
 grep -A2 '^\[profile\.release\]' Cargo.toml | grep -q 'overflow-checks = true'
-
-echo "==> throughput release run (default size)"
-./target/release/sbcast throughput --json "$thr_dir/thr-paper.json" \
-    > "$thr_dir/thr-paper.out" 2>/dev/null
-grep -q '"peak_agenda"' "$thr_dir/thr-paper.json"
 
 echo "==> scale release smoke (>= 10M streamed sessions)"
 # 2.2M-session grid: 4 cells + the flagship pass = 11M streamed sessions.
