@@ -227,12 +227,13 @@ pub struct FoldState {
 
 impl TraceSink for StreamingFold {
     fn accept(&mut self, trace: &SessionTrace) {
+        let (peak_buffer, max_streams) = trace.peak_buffer_and_streams(&mut Vec::new());
         self.fold_scalars(
             trace.startup_latency().value(),
-            trace.peak_buffer().value(),
+            peak_buffer.value(),
             trace.total_received().value(),
             trace.playback_end().value() - trace.playback_start.value(),
-            trace.max_concurrent_receptions(),
+            max_streams,
         );
     }
 

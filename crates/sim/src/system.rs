@@ -384,6 +384,8 @@ pub(crate) struct Sweep<'s> {
     taps: Taps,
     taken: u64,
     held: Vec<Option<Held>>,
+    /// Scratch for each fresh session's rate-change list.
+    events: Vec<(f64, f64)>,
 }
 
 impl<'s> Sweep<'s> {
@@ -405,6 +407,7 @@ impl<'s> Sweep<'s> {
             taps: Taps::new(Registry::new()),
             taken: 0,
             held: Vec::new(),
+            events: Vec::new(),
         }
     }
 
@@ -457,6 +460,7 @@ impl<'s> Sweep<'s> {
                     self.requests[pos],
                     self.index,
                     &mut self.held,
+                    &mut self.events,
                     owned,
                     &mut self.taps,
                     rec.as_deref_mut(),
@@ -580,7 +584,8 @@ impl<'a> SystemSim<'a> {
     /// them. Derives the session's scalars once, records them into
     /// `taps` and `rec`, and returns them with the trace.
     ///
-    /// `held` is the sweep's last session per video. When the model
+    /// `events` is the sweep's scratch for a fresh session's rate-change
+    /// list. `held` is the sweep's last session per video. When the model
     /// [reuses](ClientModel::reuses) the video's, the session is that
     /// one with the new arrival, tick and index and the latency they
     /// give; otherwise it is scheduled and, if the model reuses
@@ -597,6 +602,7 @@ impl<'a> SystemSim<'a> {
         r: Request,
         index: &PlanIndex<'_>,
         held: &'h mut Vec<Option<Held>>,
+        events: &mut Vec<(f64, f64)>,
         owned: bool,
         taps: &mut Taps,
         rec: Option<&mut (dyn Recorder + '_)>,
@@ -617,6 +623,7 @@ impl<'a> SystemSim<'a> {
                     .model
                     .session_indexed(index, r.video, r.at, self.display_rate)?;
                 let end = s.playback_end();
+                let (peak_buffer, max_streams) = s.peak_buffer_and_streams(events);
                 // The floats `StreamingFold::accept` folds, computed by
                 // the same expressions, so every path's fold is
                 // bit-identical.
@@ -625,10 +632,10 @@ impl<'a> SystemSim<'a> {
                     idx: pos,
                     end_tick: (Ticks::ZERO + self.scale.duration_from_minutes(end)).0,
                     latency: s.startup_latency().value(),
-                    peak_buffer: s.peak_buffer().value(),
+                    peak_buffer: peak_buffer.value(),
                     total_received: s.total_received().value(),
                     delivered: end.value() - s.playback_start.value(),
-                    max_streams: s.max_concurrent_receptions(),
+                    max_streams,
                 };
                 let slot = slot(held, r.video.0);
                 if slot.is_none() && !self.model.reuses(index, r.video, &s, r.at) {
