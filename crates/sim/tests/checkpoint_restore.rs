@@ -243,6 +243,40 @@ fn first_histogram(fields: &mut [(String, serde::Value)]) -> &mut Vec<(String, s
     h
 }
 
+/// The value object (its one `c`, `g` or `h` field) of the first series
+/// of family `name` in the payload's snapshot.
+fn first_value<'a>(
+    fields: &'a mut [(String, serde::Value)],
+    name: &str,
+) -> &'a mut Vec<(String, serde::Value)> {
+    let serde::Value::Array(families) = field(fields, "snapshot") else {
+        panic!("snapshot is not an array")
+    };
+    let family = families
+        .iter_mut()
+        .find_map(|f| match f {
+            serde::Value::Object(fo)
+                if fo
+                    .iter()
+                    .any(|(k, v)| k == "name" && v.as_str() == Some(name)) =>
+            {
+                Some(fo)
+            }
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no {name} family"));
+    let serde::Value::Array(series) = field(family, "series") else {
+        panic!("series is not an array")
+    };
+    let serde::Value::Object(so) = &mut series[0] else {
+        panic!("a series is not an object")
+    };
+    let serde::Value::Object(value) = field(so, "value") else {
+        panic!("a series value is not an object")
+    };
+    value
+}
+
 /// The `key` array of the first histogram.
 fn histogram_array<'a>(
     fields: &'a mut [(String, serde::Value)],
@@ -281,7 +315,7 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
     let bytes = captured.expect("the first checkpoint was captured");
 
     type Edit = fn(&mut Vec<(String, serde::Value)>);
-    let forgeries: [(&str, Edit); 13] = [
+    let forgeries: [(&str, Edit); 14] = [
         ("more scalars than the slice holds", |f| {
             let rows = scalar_rows(f);
             let first = rows[0].clone();
@@ -321,29 +355,19 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
             *field(h, "count") = serde::Value::UInt(count + 1);
         }),
         ("a session counter at u64::MAX", |f| {
-            let serde::Value::Array(families) = field(f, "snapshot") else {
-                panic!("snapshot is not an array")
+            *field(first_value(f, "sim_sessions_total"), "c") = serde::Value::UInt(u64::MAX)
+        }),
+        ("a channel-busy histogram count at u64::MAX", |f| {
+            let serde::Value::Object(h) = field(first_value(f, "sim_channel_busy_minutes"), "h")
+            else {
+                panic!("a channel-busy value is not a histogram")
             };
-            for family in families {
-                let serde::Value::Object(fo) = family else {
-                    panic!("a family is not an object")
-                };
-                if field(fo, "name").as_str() != Some("sim_sessions_total") {
-                    continue;
-                }
-                let serde::Value::Array(series) = field(fo, "series") else {
-                    panic!("series is not an array")
-                };
-                let serde::Value::Object(so) = &mut series[0] else {
-                    panic!("a series is not an object")
-                };
-                let serde::Value::Object(vo) = field(so, "value") else {
-                    panic!("a value is not an object")
-                };
-                *field(vo, "c") = serde::Value::UInt(u64::MAX);
-                return;
-            }
-            panic!("no sim_sessions_total family");
+            let serde::Value::Array(counts) = field(h, "counts") else {
+                panic!("histogram.counts is not an array")
+            };
+            counts.fill(serde::Value::UInt(0));
+            counts[0] = serde::Value::UInt(u64::MAX);
+            *field(h, "count") = serde::Value::UInt(u64::MAX);
         }),
         ("a histogram value in a counter family", |f| {
             let serde::Value::Array(families) = field(f, "snapshot") else {
