@@ -68,36 +68,6 @@ impl LogicalChannel {
         self.cycle.iter().map(|s| s.on_air).sum()
     }
 
-    /// All transmission start times of `item` within `[0, horizon)`,
-    /// in minutes. Used by client policies to find the next tune-in point.
-    #[must_use]
-    pub fn starts_of(&self, item: BroadcastItem, horizon: Minutes) -> Vec<Minutes> {
-        let period = self.period().value();
-        let mut offsets = Vec::new();
-        let mut acc = 0.0;
-        for s in &self.cycle {
-            if s.item == item {
-                offsets.push(acc);
-            }
-            acc += s.on_air.value();
-        }
-        let mut out = Vec::new();
-        let mut cycle_start = self.phase.value();
-        // Back up so items whose first occurrence is before `phase + period`
-        // but after 0 are included when phase > 0? Phases are non-negative
-        // and the first cycle begins at `phase`; nothing airs before it.
-        while cycle_start < horizon.value() {
-            for &o in &offsets {
-                let t = cycle_start + o;
-                if t < horizon.value() {
-                    out.push(Minutes(t));
-                }
-            }
-            cycle_start += period;
-        }
-        out
-    }
-
     /// Boundary tolerance for occurrence arithmetic, in period units.
     ///
     /// Callers hand in times computed from the same plan, so a boundary
@@ -111,44 +81,6 @@ impl LogicalChannel {
     /// already started and making their follow-up segment infeasible.)
     fn boundary_eps(q: f64) -> f64 {
         256.0 * f64::EPSILON * q.abs().max(1.0)
-    }
-
-    /// The last transmission start of `item` at or before `t` (but never
-    /// before the channel's phase).
-    ///
-    /// Returns `None` if the channel never carries `item` or has not yet
-    /// aired it by `t`.
-    #[must_use]
-    pub fn prev_start_of(&self, item: BroadcastItem, t: Minutes) -> Option<Minutes> {
-        let period = self.period().value();
-        debug_assert!(period > 0.0, "channel {} has an empty cycle", self.id);
-        let mut acc = 0.0;
-        let mut best: Option<f64> = None;
-        for s in &self.cycle {
-            if s.item == item {
-                let offset = self.phase.value() + acc;
-                // Occurrences at offset + n·period, n ≥ 0; want the largest
-                // ≤ t, treating boundary hits (within [`Self::boundary_eps`])
-                // as valid occurrences.
-                let q = (t.value() - offset) / period;
-                let eps = Self::boundary_eps(q);
-                if q >= -eps {
-                    let n = (q + eps).floor().max(0.0);
-                    let mut candidate = offset + n * period;
-                    if candidate > t.value() + eps * period {
-                        candidate -= period;
-                    }
-                    if candidate >= offset - 1e-12 {
-                        best = Some(match best {
-                            Some(b) => b.max(candidate),
-                            None => candidate,
-                        });
-                    }
-                }
-            }
-            acc += s.on_air.value();
-        }
-        best.map(Minutes)
     }
 
     /// The first transmission start of `item` at or after `t`.
@@ -223,9 +155,9 @@ impl ChannelPlan {
     /// Precompute the carrier index: per-item channel/occurrence lookup
     /// in O(1) instead of a scan over every cycle entry of every channel.
     ///
-    /// The index answers exactly the queries [`ChannelPlan::channels_for`],
-    /// [`LogicalChannel::next_start_of`] and
-    /// [`LogicalChannel::prev_start_of`] answer, with bit-identical
+    /// The index answers exactly the queries [`ChannelPlan::channels_for`]
+    /// and [`LogicalChannel::next_start_of`] answer, and the scanning
+    /// `prev_start_of` this module's tests keep, with bit-identical
     /// results (same float expressions, same fold order) — it only
     /// changes the lookup cost, which matters for plans with tens of
     /// thousands of cycle entries (FB/CTIFB at their segment cap).
@@ -412,9 +344,9 @@ impl<'a> PlanIndex<'a> {
         Minutes(best.expect("occurrence lists are non-empty by construction"))
     }
 
-    /// [`LogicalChannel::prev_start_of`] for an indexed carrier: the last
-    /// transmission start of the item at or before `t`, `None` when the
-    /// channel has not aired it yet.
+    /// The last transmission start of the item at or before `t` (but
+    /// never before the channel's phase), `None` when the channel has
+    /// not aired it yet.
     #[must_use]
     pub fn prev_start(&self, occ: &ItemOccurrences, t: Minutes) -> Option<Minutes> {
         let period = self.periods[occ.channel];
@@ -443,6 +375,41 @@ impl<'a> PlanIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scanning lookup the index's `prev_start` replaced: the last
+    /// transmission start of `item` on `ch` at or before `t` (but never
+    /// before the channel's phase), `None` if the channel never carries
+    /// `item` or has not yet aired it by `t`.
+    fn prev_start_of(ch: &LogicalChannel, item: BroadcastItem, t: Minutes) -> Option<Minutes> {
+        let period = ch.period().value();
+        let mut acc = 0.0;
+        let mut best: Option<f64> = None;
+        for s in &ch.cycle {
+            if s.item == item {
+                let offset = ch.phase.value() + acc;
+                // Occurrences at offset + n·period, n ≥ 0; want the largest
+                // ≤ t, treating boundary hits (within
+                // [`LogicalChannel::boundary_eps`]) as valid occurrences.
+                let q = (t.value() - offset) / period;
+                let eps = LogicalChannel::boundary_eps(q);
+                if q >= -eps {
+                    let n = (q + eps).floor().max(0.0);
+                    let mut candidate = offset + n * period;
+                    if candidate > t.value() + eps * period {
+                        candidate -= period;
+                    }
+                    if candidate >= offset - 1e-12 {
+                        best = Some(match best {
+                            Some(b) => b.max(candidate),
+                            None => candidate,
+                        });
+                    }
+                }
+            }
+            acc += s.on_air.value();
+        }
+        best.map(Minutes)
+    }
 
     fn toy_channel() -> LogicalChannel {
         // One channel alternating two items of 1 and 2 minutes on air.
@@ -474,20 +441,15 @@ mod tests {
             video: VideoId(0),
             segment: 1,
         };
-        assert_eq!(
-            ch.starts_of(item0, Minutes(7.0))
-                .iter()
-                .map(|m| m.value())
-                .collect::<Vec<_>>(),
-            vec![0.0, 3.0, 6.0]
-        );
-        assert_eq!(
-            ch.starts_of(item1, Minutes(7.0))
-                .iter()
-                .map(|m| m.value())
-                .collect::<Vec<_>>(),
-            vec![1.0, 4.0]
-        );
+        for (item, t, start) in [
+            (item0, 0.0, 0.0),
+            (item0, 0.1, 3.0),
+            (item0, 3.1, 6.0),
+            (item1, 0.0, 1.0),
+            (item1, 1.1, 4.0),
+        ] {
+            assert_eq!(ch.next_start_of(item, Minutes(t)), Some(Minutes(start)));
+        }
     }
 
     #[test]
@@ -523,18 +485,18 @@ mod tests {
             segment: 1,
         };
         // Occurrences at 1.5, 4.5, 7.5, …
-        assert_eq!(ch.prev_start_of(item1, Minutes(1.0)), None);
-        assert!(ch
-            .prev_start_of(item1, Minutes(1.5))
+        assert_eq!(prev_start_of(&ch, item1, Minutes(1.0)), None);
+        assert!(prev_start_of(&ch, item1, Minutes(1.5))
             .unwrap()
             .approx_eq(Minutes(1.5), 1e-12));
-        assert!(ch
-            .prev_start_of(item1, Minutes(5.0))
+        assert!(prev_start_of(&ch, item1, Minutes(5.0))
             .unwrap()
             .approx_eq(Minutes(4.5), 1e-12));
         // prev(next(t)) == next(t).
         let nxt = ch.next_start_of(item1, Minutes(3.0)).unwrap();
-        assert!(ch.prev_start_of(item1, nxt).unwrap().approx_eq(nxt, 1e-12));
+        assert!(prev_start_of(&ch, item1, nxt)
+            .unwrap()
+            .approx_eq(nxt, 1e-12));
     }
 
     #[test]
@@ -572,12 +534,23 @@ mod tests {
             next.value(),
             t.value(),
         );
-        let prev = ch.prev_start_of(item, t).unwrap();
+        // The plan's index holds the channel as its only carrier.
+        let mut segment_sizes = vec![Vec::new(); 8];
+        segment_sizes[7] = vec![ch.cycle[0].size];
+        let plan = ChannelPlan {
+            scheme: "boundary".into(),
+            segment_sizes,
+            channels: vec![ch.clone()],
+        };
+        let index = plan.index();
+        let occ = &index.carriers(item)[0];
+        assert_eq!(index.next_start(occ, t), next);
+        let prev = index.prev_start(occ, t).unwrap();
         assert!(prev < next, "prev {prev:?} not behind next {next:?}");
         assert!((next.value() - prev.value() - period).abs() < 1e-6);
         // Exact boundary hits (same float chain) still snap.
         assert_eq!(ch.next_start_of(item, next), Some(next));
-        assert_eq!(ch.prev_start_of(item, prev), Some(prev));
+        assert_eq!(index.prev_start(occ, prev), Some(prev));
     }
 
     #[test]
@@ -641,7 +614,7 @@ mod tests {
                             ch.id
                         );
                         assert_eq!(
-                            ch.prev_start_of(item, Minutes(t)),
+                            prev_start_of(ch, item, Minutes(t)),
                             index.prev_start(occ, Minutes(t)),
                             "prev_start v{v}/s{g} ch{} t={t}",
                             ch.id
