@@ -131,3 +131,20 @@ fn a_rerun_into_a_fresh_registry_is_identical() {
     };
     assert_eq!(run(), run());
 }
+
+/// FNV-1a 64-bit over `json`'s bytes.
+fn fnv1a(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The study and its policy-labelled snapshot, pinned as one digest: a
+/// change to how the cells record or merge their metrics must leave the
+/// bytes unchanged.
+#[test]
+fn shift_study_bytes_are_pinned() {
+    let (study, snap) = shift_study(&study_config(), &Runner::serial()).unwrap();
+    let json = serde_json::to_string(&(&study, &snap)).unwrap();
+    assert_eq!(fnv1a(&json), 0x9ca2_fcc0_728c_785e);
+}

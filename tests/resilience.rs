@@ -106,3 +106,36 @@ fn resilience_study_is_byte_identical_across_thread_counts() {
     assert_eq!(runs[0], runs[1], "threads 1 vs 2 diverge");
     assert_eq!(runs[0], runs[2], "threads 1 vs 4 diverge");
 }
+
+/// FNV-1a 64-bit over `json`'s bytes.
+fn fnv1a(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A small study and its scheme-, kind- and policy-labelled snapshot,
+/// pinned as one digest: a change to how the cells record or merge
+/// their metrics must leave the bytes unchanged.
+#[test]
+fn resilience_study_bytes_are_pinned() {
+    let cfg = ResilienceStudyConfig {
+        samples: 6,
+        loss_rates: vec![0.05],
+        seeds: vec![7],
+        control_horizon: Minutes(200.0),
+        shift_at: Minutes(80.0),
+        ..ResilienceStudyConfig::paper_defaults()
+    };
+    let (study, snap) = resilience_study(&cfg, &Runner::serial()).unwrap();
+    assert!(snap.families.iter().any(|f| f
+        .series
+        .iter()
+        .any(|s| s.labels.contains("scheme=") && s.labels.contains("kind="))));
+    assert!(snap
+        .families
+        .iter()
+        .any(|f| f.series.iter().any(|s| s.labels.contains("policy=dynamic"))));
+    let json = serde_json::to_string(&(&study, &snap)).unwrap();
+    assert_eq!(fnv1a(&json), 0x7ca2_5e29_6225_3acb);
+}
