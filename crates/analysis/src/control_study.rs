@@ -13,16 +13,16 @@
 //! seeds. Arrival times and patience draws are identical between the two
 //! runs (the shift only relabels which title is asked for), so any
 //! latency difference is attributable to reallocation alone. Per-seed
-//! cells run in parallel on the [`Runner`]; metrics snapshots are merged
-//! in seed order with a `policy` label, so the output is byte-identical
-//! for every thread count.
+//! cells run in parallel on the [`Runner`]; each run's metrics snapshot
+//! is [relabeled](Snapshot::relabel) with its `policy` and merged in seed
+//! order, so the output is byte-identical for every thread count.
 
 use serde::{Deserialize, Serialize};
 use vod_units::Minutes;
 
 use sb_control::{ControlConfig, ControlPolicy, ControlReport, ControlledSim};
 use sb_core::error::{Result, SchemeError};
-use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
+use sb_metrics::Snapshot;
 use sb_sim::RunConfig;
 use sb_workload::{Catalog, Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
 
@@ -95,25 +95,6 @@ pub struct ShiftStudy {
     pub dynamic_served: usize,
 }
 
-/// Forwards to a [`Registry`] with a `policy` label appended to every
-/// series, so static and dynamic runs stay distinct after merging.
-struct PolicyLabeled<'a> {
-    inner: &'a mut Registry,
-    policy: &'static str,
-}
-
-impl Recorder for PolicyLabeled<'_> {
-    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
-        let mut l = labels.to_vec();
-        l.push(("policy", self.policy));
-        self.inner.resolve(name, &l, kind)
-    }
-
-    fn apply(&mut self, id: SeriesId, op: MetricOp) {
-        self.inner.apply(id, op);
-    }
-}
-
 /// Run the study. Cells (seeds) run in parallel on `runner`; the report
 /// and the merged snapshot are byte-identical for every thread count.
 ///
@@ -124,7 +105,7 @@ pub fn shift_study(cfg: &ShiftStudyConfig, runner: &Runner) -> Result<(ShiftStud
     let sim = ControlledSim::new(cfg.control, &catalog)?;
     let popularity = ZipfPopularity::paper(cfg.control.titles);
 
-    let cells: Vec<(ShiftCell, Snapshot)> =
+    let cells: Vec<(ShiftCell, [Snapshot; 2])> =
         runner.timed_map("control-shift", &cfg.seeds, |&seed| {
             let requests = PopularityShift {
                 arrivals: PoissonArrivals::new(cfg.rate, seed)
@@ -134,45 +115,35 @@ pub fn shift_study(cfg: &ShiftStudyConfig, runner: &Runner) -> Result<(ShiftStud
             }
             .generate(&popularity, cfg.horizon);
 
-            let mut reg = Registry::new();
-            let static_report = sim
-                .execute(
-                    ControlPolicy::Static,
-                    RunConfig::new(&requests).recorder(&mut PolicyLabeled {
-                        inner: &mut reg,
-                        policy: "static",
-                    }),
-                )
-                .expect("the empty fault script is always valid")
-                .summary;
-            let dynamic_report = sim
-                .execute(
-                    ControlPolicy::Dynamic,
-                    RunConfig::new(&requests).recorder(&mut PolicyLabeled {
-                        inner: &mut reg,
-                        policy: "dynamic",
-                    }),
-                )
-                .expect("the empty fault script is always valid")
-                .summary;
+            // The `policy` label keeps static and dynamic runs distinct
+            // after merging.
+            let run = |policy: ControlPolicy| {
+                let out = sim
+                    .execute(policy, RunConfig::new(&requests))
+                    .expect("the empty fault script is always valid");
+                let label = policy.to_string();
+                (out.summary, out.snapshot.relabel(&[("policy", &label)]))
+            };
+            let (static_report, static_snap) = run(ControlPolicy::Static);
+            let (dynamic_report, dynamic_snap) = run(ControlPolicy::Dynamic);
             (
                 ShiftCell {
                     seed,
                     static_report,
                     dynamic_report,
                 },
-                reg.snapshot(),
+                [static_snap, dynamic_snap],
             )
         });
 
     let mut out = Vec::with_capacity(cells.len());
     let mut snapshot = Snapshot::default();
-    for (cell, snap) in cells {
-        snapshot
-            .merge(&snap)
-            .map_err(|e| SchemeError::MetricMerge {
+    for (cell, snaps) in cells {
+        for snap in &snaps {
+            snapshot.merge(snap).map_err(|e| SchemeError::MetricMerge {
                 what: e.to_string(),
             })?;
+        }
         out.push(cell);
     }
 

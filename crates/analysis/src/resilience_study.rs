@@ -28,7 +28,7 @@ use sb_control::{ControlConfig, ControlFaults, ControlPolicy, ControlReport, Con
 use sb_core::config::SystemConfig;
 use sb_core::error::{Result, SchemeError};
 use sb_core::plan::VideoId;
-use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
+use sb_metrics::{Registry, Snapshot};
 use sb_resilience::{replay, Degradation, FaultScript, GilbertElliott, ScriptedLoss};
 use sb_sim::{LossModel, LossProcess, RunConfig};
 use sb_workload::{Catalog, Patience, PoissonArrivals, PopularityShift, ZipfPopularity};
@@ -217,25 +217,6 @@ pub struct ResilienceStudy {
     pub dynamic_mean_latency: Minutes,
 }
 
-/// Forwards to a [`Registry`] with fixed extra labels appended to every
-/// series, keeping cells distinct after the merge.
-struct Labeled<'a> {
-    inner: &'a mut Registry,
-    extra: Vec<(String, String)>,
-}
-
-impl Recorder for Labeled<'_> {
-    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> SeriesId {
-        let mut l = labels.to_vec();
-        l.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        self.inner.resolve(name, &l, kind)
-    }
-
-    fn apply(&mut self, id: SeriesId, op: MetricOp) {
-        self.inner.apply(id, op);
-    }
-}
-
 /// Deterministic arrival-phase fraction in `(0, 1)` from a seed
 /// (splitmix-style scramble; the same rule [`crate::crosscheck`] uses).
 fn phase_of(seed: u64) -> f64 {
@@ -283,13 +264,6 @@ fn run_sessions<L: LossProcess>(
     let phase = phase_of(seed);
 
     let mut reg = Registry::new();
-    let mut rec = Labeled {
-        inner: &mut reg,
-        extra: vec![
-            ("scheme".to_string(), id.label()),
-            ("kind".to_string(), kind.label().to_string()),
-        ],
-    };
 
     let mut tallies: Vec<PolicyTally> = cfg
         .policies
@@ -313,7 +287,7 @@ fn run_sessions<L: LossProcess>(
         sessions += 1;
         latency_sum += trace.startup_latency().value();
         for (p, tally) in cfg.policies.iter().zip(tallies.iter_mut()) {
-            let rep = replay(plan, &trace, &losses, *p, &mut rec);
+            let rep = replay(plan, &trace, &losses, *p, &mut reg);
             tally.stall_minutes += rep.total_stall().value();
             tally.skipped_minutes += rep.skipped_minutes().value();
             tally.degraded_minutes += rep.degraded_minutes().value();
@@ -321,9 +295,14 @@ fn run_sessions<L: LossProcess>(
         }
     }
 
+    // The `scheme` and `kind` labels keep cells distinct after the merge.
+    let scheme = id.label();
+    let snapshot = reg
+        .snapshot()
+        .relabel(&[("scheme", &scheme), ("kind", kind.label())]);
     Some((
         ResilienceCell {
-            scheme: id.label(),
+            scheme,
             kind,
             loss_rate: rate,
             seed,
@@ -331,7 +310,7 @@ fn run_sessions<L: LossProcess>(
             mean_startup_latency: latency_sum / sessions.max(1) as f64,
             tallies,
         },
-        reg.snapshot(),
+        snapshot,
     ))
 }
 
@@ -365,7 +344,7 @@ pub fn resilience_study(
     let catalog = Catalog::paper_defaults(cfg.control.titles);
     let sim = ControlledSim::new(cfg.control, &catalog)?;
     let popularity = ZipfPopularity::paper(cfg.control.titles);
-    let recovery: Vec<Result<(RecoveryCell, Snapshot)>> =
+    let recovery: Vec<Result<(RecoveryCell, [Snapshot; 2])>> =
         runner.timed_map("resilience-recovery", &cfg.seeds, |&seed| {
             let requests = PopularityShift {
                 arrivals: PoissonArrivals::new(cfg.rate, seed)
@@ -374,31 +353,28 @@ pub fn resilience_study(
                 rotate: cfg.rotate,
             }
             .generate(&popularity, cfg.control_horizon);
-            let mut reg = Registry::new();
-            let mut run = |policy: ControlPolicy| {
+            let run = |policy: ControlPolicy| {
                 sim.execute(
                     policy,
-                    RunConfig::new(&requests)
-                        .recorder(&mut Labeled {
-                            inner: &mut reg,
-                            extra: vec![("policy".to_string(), policy.to_string())],
-                        })
-                        .faults(ControlFaults {
-                            script: &cfg.script,
-                            degradation: Degradation::Stall,
-                        }),
+                    RunConfig::new(&requests).faults(ControlFaults {
+                        script: &cfg.script,
+                        degradation: Degradation::Stall,
+                    }),
                 )
-                .map(|o| o.summary)
+                .map(|o| {
+                    let label = policy.to_string();
+                    (o.summary, o.snapshot.relabel(&[("policy", &label)]))
+                })
             };
-            let static_report = run(ControlPolicy::Static)?;
-            let dynamic_report = run(ControlPolicy::Dynamic)?;
+            let (static_report, static_snap) = run(ControlPolicy::Static)?;
+            let (dynamic_report, dynamic_snap) = run(ControlPolicy::Dynamic)?;
             Ok((
                 RecoveryCell {
                     seed,
                     static_report,
                     dynamic_report,
                 },
-                reg.snapshot(),
+                [static_snap, dynamic_snap],
             ))
         });
 
@@ -414,12 +390,12 @@ pub fn resilience_study(
     }
     let mut out_recovery = Vec::new();
     for r in recovery {
-        let (cell, snap) = r?;
-        snapshot
-            .merge(&snap)
-            .map_err(|e| SchemeError::MetricMerge {
+        let (cell, snaps) = r?;
+        for snap in &snaps {
+            snapshot.merge(snap).map_err(|e| SchemeError::MetricMerge {
                 what: e.to_string(),
             })?;
+        }
         out_recovery.push(cell);
     }
 

@@ -47,7 +47,7 @@ use sb_core::error::{Result, SchemeError};
 use sb_core::scheme::BroadcastScheme;
 use sb_core::series::Width;
 use sb_core::Skyscraper;
-use sb_metrics::{OpLog, Recorder, Registry, Snapshot, TeeRecorder};
+use sb_metrics::{Registry, Snapshot};
 use sb_resilience::{Degradation, FaultScript, ResilienceOutcome};
 use sb_sim::run::RunParts;
 use sb_sim::{parallel_map, shard_of, Engine, EngineStats, RunConfig};
@@ -281,7 +281,6 @@ struct ShardOut {
     scores: Vec<f64>,
     stats: EngineStats,
     snapshot: Snapshot,
-    ops: Option<OpLog>,
 }
 
 /// The controlled hybrid simulation (see [module docs](self)).
@@ -394,7 +393,7 @@ impl ControlledSim {
         policy: ControlPolicy,
         script: &FaultScript,
         degradation: Degradation,
-        rec: &mut dyn Recorder,
+        rec: &mut Registry,
     ) -> (ControlReport, Vec<f64>, Vec<f64>, EngineStats) {
         let scale = TickScale::default();
         let at_ticks = |m: f64| Ticks::ZERO + scale.duration_from_minutes(Minutes(m));
@@ -464,7 +463,7 @@ impl ControlledSim {
                         served_pool: &mut usize,
                         defected: &mut usize,
                         latencies: &mut Vec<f64>,
-                        rec: &mut dyn Recorder| {
+                        rec: &mut Registry| {
             for q in queues.iter_mut() {
                 let before = q.len();
                 q.retain(|w| w.deadline >= now);
@@ -842,8 +841,7 @@ impl ControlledSim {
     /// `shards(1)` by design; for a fixed `S` it is byte-identical for
     /// every thread count.
     ///
-    /// Slot semantics: the `recorder` slot receives the per-shard metric
-    /// streams replayed in shard order; the `sink` slot is rejected (the
+    /// Slot semantics: the `sink` slot is rejected (the
     /// control plane produces no session traces); the `faults` slot
     /// carries a [`ControlFaults`] bundle — outages are routed to the
     /// owning shard, restarts and churn waves reach every shard, and
@@ -864,7 +862,6 @@ impl ControlledSim {
         let RunParts {
             requests,
             sink,
-            recorder,
             faults,
             shards,
             threads,
@@ -953,37 +950,17 @@ impl ControlledSim {
             scripts[o.channel % shards].outages.push(routed);
         }
 
-        let want_ops = recorder.is_some();
         let inputs: Vec<usize> = (0..shards).collect();
         let outs: Vec<ShardOut> = parallel_map(threads, "control-shards", &inputs, |_, &s| {
             let mut reg = Registry::new();
-            let mut ops = want_ops.then(OpLog::new);
-            let (report, latencies, scores, stats) = match ops.as_mut() {
-                Some(log) => {
-                    let mut tee = TeeRecorder::new(&mut reg, log);
-                    sims[s].run_faults_core(
-                        &shard_reqs[s],
-                        policy,
-                        &scripts[s],
-                        degradation,
-                        &mut tee,
-                    )
-                }
-                None => sims[s].run_faults_core(
-                    &shard_reqs[s],
-                    policy,
-                    &scripts[s],
-                    degradation,
-                    &mut reg,
-                ),
-            };
+            let (report, latencies, scores, stats) =
+                sims[s].run_faults_core(&shard_reqs[s], policy, &scripts[s], degradation, &mut reg);
             ShardOut {
                 report,
                 latencies,
                 scores,
                 stats,
                 snapshot: reg.snapshot(),
-                ops,
             }
         });
 
@@ -1074,14 +1051,6 @@ impl ControlledSim {
         for (t, score) in popularity.iter_mut().enumerate() {
             let (s, local) = local_of[t];
             *score = outs[s].scores[local];
-        }
-
-        if let Some(rec) = recorder {
-            for out in &outs {
-                if let Some(log) = &out.ops {
-                    log.replay(rec);
-                }
-            }
         }
 
         Ok(ControlOutcome {
@@ -1554,10 +1523,12 @@ mod tests {
 
     #[test]
     fn execute_digests_are_pinned() {
-        // Summary, merged snapshot, popularity bits and the caller's
-        // snapshot of fixed runs, pinned as digests: a change to how
-        // `execute` partitions, runs or merges must leave every one of
-        // them unchanged, at one shard as at four.
+        // Summary, merged snapshot and popularity bits of fixed runs,
+        // pinned as digests: a change to how `execute` partitions, runs
+        // or merges must leave every one of them unchanged, at one shard
+        // as at four. The digested tuple ends in an empty snapshot, kept
+        // so the digests stay those taken when it held a caller's
+        // registry.
         let sim = sim(300.0);
         let reqs = shifted_workload(40, 6.0, 400.0, 200.0, 13, 5);
         let script = FaultScript {
@@ -1581,46 +1552,35 @@ mod tests {
         let mut got = Vec::new();
         for shards in [1, 4] {
             for faulted in [false, true] {
-                for with_recorder in [false, true] {
-                    let mut caller = Registry::new();
-                    let mut cfg = RunConfig::new(&reqs).shards(shards);
-                    if with_recorder {
-                        cfg = cfg.recorder(&mut caller);
-                    }
-                    let faults = ControlFaults {
-                        script: &script,
-                        degradation: Degradation::Stall,
-                    };
-                    let out = if faulted {
-                        sim.execute(ControlPolicy::Dynamic, cfg.faults(faults))
-                    } else {
-                        sim.execute(ControlPolicy::Dynamic, cfg)
-                    }
-                    .unwrap();
-                    let res = &out.summary.resilience;
-                    assert_eq!(res.outages == 1 && res.restarts == 1, faulted);
-                    assert_eq!(caller.snapshot() != Snapshot::default(), with_recorder);
-                    let popularity: Vec<u64> = out.popularity.iter().map(|p| p.to_bits()).collect();
-                    let bytes = serde_json::to_string(&(
-                        &out.summary,
-                        &out.snapshot,
-                        popularity,
-                        caller.snapshot(),
-                    ))
-                    .unwrap();
-                    got.push((shards, faulted, with_recorder, fnv1a(bytes.as_bytes())));
+                let cfg = RunConfig::new(&reqs).shards(shards);
+                let faults = ControlFaults {
+                    script: &script,
+                    degradation: Degradation::Stall,
+                };
+                let out = if faulted {
+                    sim.execute(ControlPolicy::Dynamic, cfg.faults(faults))
+                } else {
+                    sim.execute(ControlPolicy::Dynamic, cfg)
                 }
+                .unwrap();
+                let res = &out.summary.resilience;
+                assert_eq!(res.outages == 1 && res.restarts == 1, faulted);
+                let popularity: Vec<u64> = out.popularity.iter().map(|p| p.to_bits()).collect();
+                let bytes = serde_json::to_string(&(
+                    &out.summary,
+                    &out.snapshot,
+                    popularity,
+                    Snapshot::default(),
+                ))
+                .unwrap();
+                got.push((shards, faulted, fnv1a(bytes.as_bytes())));
             }
         }
         let want = [
-            (1, false, false, 0x610f_3099_43b7_fb46),
-            (1, false, true, 0x9f3c_f2c3_8bed_3992),
-            (1, true, false, 0x36b0_defd_ad46_f4ab),
-            (1, true, true, 0x32c0_9676_ead2_df68),
-            (4, false, false, 0x0df0_3783_1851_6c41),
-            (4, false, true, 0x563a_4187_4818_b1c3),
-            (4, true, false, 0x93ff_cade_1570_93c5),
-            (4, true, true, 0xa578_f7a1_5cb4_e59d),
+            (1, false, 0x610f_3099_43b7_fb46),
+            (1, true, 0x36b0_defd_ad46_f4ab),
+            (4, false, 0x0df0_3783_1851_6c41),
+            (4, true, 0x93ff_cade_1570_93c5),
         ];
         assert_eq!(got, want);
     }

@@ -119,12 +119,6 @@ impl SeriesId {
     pub(crate) const fn new(index: usize) -> Self {
         Self(index)
     }
-
-    /// The slot this handle names.
-    #[must_use]
-    pub(crate) const fn index(self) -> usize {
-        self.0
-    }
 }
 
 /// One metric mutation, applied to a resolved series.
@@ -476,6 +470,42 @@ impl Snapshot {
         Ok(out)
     }
 
+    /// The snapshot with `extra` appended to every series' labels, keyed
+    /// exactly as a registry that resolved `labels ++ extra` for each
+    /// series would key it, and each family's series re-sorted under
+    /// the new keys. This is how a caller keeps several runs' snapshots
+    /// apart in one merge (a `policy` or `scheme` label per run).
+    #[must_use]
+    pub fn relabel(&self, extra: &[(&str, &str)]) -> Snapshot {
+        let mut suffix = String::new();
+        label_key(extra, &mut suffix);
+        let families = self
+            .families
+            .iter()
+            .map(|f| {
+                let mut series: Vec<SeriesSnapshot> = f
+                    .series
+                    .iter()
+                    .map(|s| SeriesSnapshot {
+                        labels: match (s.labels.is_empty(), suffix.is_empty()) {
+                            (_, true) => s.labels.clone(),
+                            (true, false) => suffix.clone(),
+                            (false, false) => format!("{},{suffix}", s.labels),
+                        },
+                        value: s.value.clone(),
+                    })
+                    .collect();
+                series.sort_by(|a, b| a.labels.cmp(&b.labels));
+                FamilySnapshot {
+                    name: f.name.clone(),
+                    kind: f.kind,
+                    series,
+                }
+            })
+            .collect();
+        Snapshot { families }
+    }
+
     /// Look up a family by name.
     #[must_use]
     pub fn family(&self, name: &str) -> Option<&FamilySnapshot> {
@@ -742,6 +772,32 @@ mod tests {
             r.resolve("lat", &[("video", "0")], MetricKind::Histogram),
             hot
         );
+    }
+
+    #[test]
+    fn relabel_matches_a_registry_that_resolved_the_extra_labels() {
+        // `a` and `a+` swap places once `,policy=…` follows them: `+`
+        // sorts below `,`, so the relabeled series must be re-sorted.
+        let base: &[&[(&str, &str)]] = &[&[], &[("v", "a")], &[("v", "a+")]];
+        for extra in [&[][..], &[("policy", "static")], &[("s", "x"), ("k", "")]] {
+            let mut plain = Registry::new();
+            let mut direct = Registry::new();
+            for (i, labels) in base.iter().enumerate() {
+                let mut full = labels.to_vec();
+                full.extend_from_slice(extra);
+                plain.incr("n", labels, i as u64 + 1);
+                direct.incr("n", &full, i as u64 + 1);
+                plain.observe("lat", labels, 0.1 * i as f64);
+                direct.observe("lat", &full, 0.1 * i as f64);
+            }
+            plain.gauge_max("peak", &[], 2.5);
+            direct.gauge_max("peak", extra, 2.5);
+            assert_eq!(
+                serde_json::to_string(&plain.snapshot().relabel(extra)).unwrap(),
+                serde_json::to_string(&direct.snapshot()).unwrap(),
+                "extra {extra:?}"
+            );
+        }
     }
 
     #[test]

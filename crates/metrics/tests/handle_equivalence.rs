@@ -1,14 +1,12 @@
 //! Handles are an optimisation, never a semantic: any interleaving of
 //! string calls and handle calls leaves a recorder in the state the
 //! string calls alone produce, byte for byte — directly, across a
-//! `Registry::from_snapshot` resume, replayed through an `OpLog`, and
-//! through a `TeeRecorder`. Series that are resolved but never written
+//! `Registry::from_snapshot` resume, and relabeled afterwards with
+//! `Snapshot::relabel`. Series that are resolved but never written
 //! appear nowhere.
 
 use proptest::prelude::*;
-use sb_metrics::{
-    MetricKind, MetricOp, OpLog, Recorder, Registry, SeriesId, Snapshot, TeeRecorder,
-};
+use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
 
 /// A series key: family name, label pairs, instrument kind.
 type Key = (
@@ -47,11 +45,19 @@ fn op(kind: MetricKind, v: f64) -> MetricOp {
 
 /// Write one event through the string path.
 fn by_string(rec: &mut dyn Recorder, series: usize, v: f64) {
+    by_string_with(rec, series, v, &[]);
+}
+
+/// Write one event through the string path, `extra` appended to the
+/// series' labels.
+fn by_string_with(rec: &mut dyn Recorder, series: usize, v: f64, extra: &[(&str, &str)]) {
     let (name, labels, kind) = SERIES[series];
+    let mut labels = labels.to_vec();
+    labels.extend_from_slice(extra);
     match op(kind, v) {
-        MetricOp::Incr(by) => rec.incr(name, labels, by),
-        MetricOp::GaugeMax(v) => rec.gauge_max(name, labels, v),
-        MetricOp::Observe(v) => rec.observe(name, labels, v),
+        MetricOp::Incr(by) => rec.incr(name, &labels, by),
+        MetricOp::GaugeMax(v) => rec.gauge_max(name, &labels, v),
+        MetricOp::Observe(v) => rec.observe(name, &labels, v),
     }
 }
 
@@ -132,45 +138,17 @@ proptest! {
         }
         prop_assert_eq!(bytes(&resumed.snapshot()), want.clone(), "resumed");
 
-        // Mixed calls into an OpLog, replayed into a fresh registry.
-        let mut log = OpLog::new();
-        let mut mixed = Mixed::new(&mut log);
-        for &(s, v, h) in &events {
-            mixed.write(&mut log, s, v, h);
+        // Mixed calls relabeled afterwards: the string calls alone with
+        // the extra labels on every series.
+        let extra = [("policy", "a+"), ("k", "")];
+        let mut labeled = Registry::new();
+        for &(s, v, _) in &events {
+            by_string_with(&mut labeled, s, v, &extra);
         }
-        prop_assert_eq!(log.len(), events.len());
-        let mut replayed = Registry::new();
-        log.replay(&mut replayed);
-        prop_assert_eq!(bytes(&replayed.snapshot()), want.clone(), "oplog replay");
-
-        // Mixed calls through a tee into a registry and an OpLog.
-        let mut side_reg = Registry::new();
-        let mut side_log = OpLog::new();
-        {
-            let mut tee = TeeRecorder::new(&mut side_reg, &mut side_log);
-            let mut mixed = Mixed::new(&mut tee);
-            for &(s, v, h) in &events {
-                mixed.write(&mut tee, s, v, h);
-            }
-        }
-        prop_assert_eq!(bytes(&side_reg.snapshot()), want.clone(), "tee registry");
-        let mut replayed = Registry::new();
-        side_log.replay(&mut replayed);
-        prop_assert_eq!(bytes(&replayed.snapshot()), want, "tee oplog replay");
+        prop_assert_eq!(
+            bytes(&direct.snapshot().relabel(&extra)),
+            bytes(&labeled.snapshot()),
+            "relabeled"
+        );
     }
-}
-
-#[test]
-fn resolved_but_unwritten_series_never_reach_a_replay() {
-    let mut log = OpLog::new();
-    Mixed::new(&mut log);
-    let h = log.resolve("h", &[("v", "0")], MetricKind::Histogram);
-    log.apply(h, MetricOp::Observe(0.5));
-    let mut replayed = Registry::new();
-    log.replay(&mut replayed);
-    let s = replayed.snapshot();
-    assert_eq!(s.families.len(), 1);
-    assert_eq!(s.family("h").unwrap().series.len(), 1);
-    assert!(s.histogram("h", "v=9").is_none());
-    assert!(s.family("idle").is_none());
 }

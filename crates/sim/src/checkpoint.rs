@@ -267,10 +267,9 @@ impl SystemSim<'_> {
         sweep.serve_until(
             None,
             Keep::Capture(&mut scalars, None),
-            None,
             Some(&mut checkpoints),
         )?;
-        let end = sweep.finish(None, Some(&mut checkpoints))?;
+        let end = sweep.finish(Some(&mut checkpoints))?;
         // The merge keys sessions by their index in the global slice.
         for sc in &mut scalars {
             sc.idx = slice.global_idx()[sc.idx];

@@ -11,10 +11,10 @@
 //! ```text
 //! RunConfig::new(&requests)
 //!     .sink(&mut fold)          // optional: stream finished traces
-//!     .recorder(&mut registry)  // optional: metric event stream
 //!     .faults(script)           // optional: control-plane fault payload
 //!     .shards(4)                // optional: partitioned scale-out
 //!     .threads(4)               // optional: worker pool for the shards
+//!     .seed(7)                  // optional: catalog-to-shard hash seed
 //!     .partition(&map)          // optional: scenario's video → shard table
 //! ```
 //!
@@ -22,9 +22,12 @@
 //! and fault payload types, by `ControlledSim::execute`). The outcome
 //! always carries the report, the streamed [`SessionSummary`], merged
 //! [`EngineStats`], and a metrics [`Snapshot`] — byte-identical for any
-//! shard count and any thread count (see `sim::shard`).
+//! shard count and any thread count (see `sim::shard`). The snapshot is
+//! the run's one metrics output: a caller that wants the run's metrics
+//! under extra labels, or folded into its own, takes
+//! [`Snapshot::relabel`] and [`Snapshot::merge`] of it.
 
-use sb_metrics::{Recorder, Snapshot};
+use sb_metrics::Snapshot;
 
 use crate::engine::EngineStats;
 use crate::sink::{SessionSummary, TraceSink};
@@ -40,7 +43,6 @@ use crate::system::SystemReport;
 pub struct RunConfig<'a, R, F = ()> {
     requests: &'a [R],
     sink: Option<&'a mut dyn TraceSink>,
-    recorder: Option<&'a mut dyn Recorder>,
     faults: Option<F>,
     shards: usize,
     threads: usize,
@@ -50,13 +52,12 @@ pub struct RunConfig<'a, R, F = ()> {
 
 impl<'a, R> RunConfig<'a, R> {
     /// A run over `requests` with every slot empty: one shard, one
-    /// thread, seed 0, no sink, no recorder, no faults.
+    /// thread, seed 0, no sink, no faults.
     #[must_use]
     pub fn new(requests: &'a [R]) -> Self {
         Self {
             requests,
             sink: None,
-            recorder: None,
             faults: None,
             shards: 1,
             threads: 1,
@@ -79,15 +80,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         self
     }
 
-    /// Stream metric events into `rec`, *in addition to* the private
-    /// registry behind the outcome's snapshot. Sharded runs replay
-    /// per-shard event logs into `rec` in shard order.
-    #[must_use]
-    pub fn recorder(mut self, rec: &'a mut dyn Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
     /// Attach a fault payload, changing the config's fault type.
     ///
     /// What `F2` means is up to the executor: `ControlledSim::execute`
@@ -98,7 +90,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         RunConfig {
             requests: self.requests,
             sink: self.sink,
-            recorder: self.recorder,
             faults: Some(faults),
             shards: self.shards,
             threads: self.threads,
@@ -155,7 +146,6 @@ impl<'a, R, F> RunConfig<'a, R, F> {
         RunParts {
             requests: self.requests,
             sink: self.sink,
-            recorder: self.recorder,
             faults: self.faults,
             shards: self.shards,
             threads: self.threads,
@@ -171,8 +161,6 @@ pub struct RunParts<'a, R, F> {
     pub requests: &'a [R],
     /// Optional trace sink.
     pub sink: Option<&'a mut dyn TraceSink>,
-    /// Optional caller-side recorder.
-    pub recorder: Option<&'a mut dyn Recorder>,
     /// Optional fault payload.
     pub faults: Option<F>,
     /// Shard count (≥ 1).
@@ -209,8 +197,8 @@ pub struct RunOutcome {
     /// `shard_peak_agenda`, this legitimately varies with the shard
     /// count and is excluded from byte-identity comparisons.
     pub shard_sessions: Vec<usize>,
-    /// Snapshot of the run's private metrics registry, merged across
-    /// shards in shard order.
+    /// Snapshot of the run's metrics registry, merged across shards in
+    /// shard order.
     pub snapshot: Snapshot,
 }
 
@@ -224,7 +212,6 @@ mod tests {
         let parts = RunConfig::new(&reqs).into_parts();
         assert_eq!(parts.requests, &[1, 2, 3]);
         assert!(parts.sink.is_none());
-        assert!(parts.recorder.is_none());
         assert!(parts.faults.is_none());
         assert_eq!((parts.shards, parts.threads, parts.seed), (1, 1, 0));
     }

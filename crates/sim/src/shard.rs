@@ -50,7 +50,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use sb_metrics::{OpLog, Recorder, Registry, Snapshot};
+use sb_metrics::{Registry, Snapshot};
 
 use crate::checkpoint::{ShardCrash, ShardRun};
 use crate::policy::PolicyError;
@@ -377,12 +377,11 @@ const MERGE_WINDOW: usize = 1024;
 /// A lane's lock is poisoned only by a panic `parallel_map` re-raised.
 const POISONED: &str = "a panicked lane is never locked again";
 
-/// One shard of a windowed `execute`: its sweep, its share of the
-/// current window, and its log of the caller's metric ops.
+/// One shard of a windowed `execute`: its sweep and its share of the
+/// current window.
 struct Lane<'s> {
     slice: &'s ShardSlice,
     sweep: Sweep<'s>,
-    ops: Option<OpLog>,
     scalars: Vec<SessionScalars>,
     traces: Option<Vec<SessionTrace>>,
 }
@@ -401,7 +400,6 @@ impl Lane<'_> {
         self.sweep.serve_until(
             until,
             Keep::Capture(&mut self.scalars, self.traces.as_mut()),
-            self.ops.as_mut().map(|log| log as &mut dyn Recorder),
             None,
         )?;
         for sc in &mut self.scalars[first..] {
@@ -446,7 +444,7 @@ impl SystemSim<'_> {
     pub fn execute(&self, cfg: RunConfig<'_, Request>) -> Result<RunOutcome, PolicyError> {
         let parts = cfg.into_parts();
         if parts.shards == 1 {
-            return self.execute_serial(parts.requests, parts.recorder, parts.sink);
+            return self.execute_serial(parts.requests, parts.sink);
         }
         self.execute_sharded(parts, MERGE_WINDOW)
     }
@@ -457,7 +455,6 @@ impl SystemSim<'_> {
     fn execute_serial(
         &self,
         requests: &[Request],
-        mut recorder: Option<&mut dyn Recorder>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<RunOutcome, PolicyError> {
         let mut fold = StreamingFold::new();
@@ -467,11 +464,10 @@ impl SystemSim<'_> {
             .serve_until(
                 None,
                 Keep::Fold(&mut fold, sink.map(|sink| sink as &mut dyn TraceSink)),
-                recorder.as_deref_mut(),
                 None,
             )
             .map_err(policy_error)?;
-        let end = sweep.finish(recorder, None).map_err(policy_error)?;
+        let end = sweep.finish(None).map_err(policy_error)?;
         Ok(outcome(
             fold.finish(),
             end.peak_active,
@@ -498,7 +494,6 @@ impl SystemSim<'_> {
                 Mutex::new(Lane {
                     slice,
                     sweep: Sweep::new(self, &index, slice.requests()),
-                    ops: parts.recorder.is_some().then(OpLog::new),
                     scalars: Vec::new(),
                     traces: parts.sink.is_some().then(Vec::new),
                 })
@@ -550,29 +545,17 @@ impl SystemSim<'_> {
         }
 
         let mut snapshots = Vec::with_capacity(lanes.len());
-        let mut logs = Vec::with_capacity(lanes.len());
         for lane in lanes {
-            let Lane { sweep, mut ops, .. } = lane.into_inner().expect(POISONED);
-            let end = sweep
-                .finish(ops.as_mut().map(|log| log as &mut dyn Recorder), None)
-                .map_err(policy_error)?;
+            let lane = lane.into_inner().expect(POISONED);
+            let end = lane.sweep.finish(None).map_err(policy_error)?;
             snapshots.push(end.snapshot);
-            logs.push(ops);
         }
-        let outcome = conclude(
+        conclude(
             merger,
             snapshots.iter().enumerate(),
             slices.iter().map(ShardSlice::len).collect(),
             LABEL,
-        )?;
-        if let Some(rec) = parts.recorder {
-            for log in logs.iter().flatten() {
-                log.replay(rec);
-            }
-            let peak_active = outcome.summary.peak_active_sessions;
-            rec.gauge_max("sim_peak_active_sessions", &[], peak_active as f64);
-        }
-        Ok(outcome)
+        )
     }
 }
 
@@ -692,30 +675,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_recorder_and_sink_slots_match_serial() {
+    fn sharded_sink_slot_matches_serial() {
         let (cfg, plan, requests) = lineup();
         let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
         let drive = |shards: usize| {
-            let mut reg = Registry::new();
             let mut collect = CollectTraces::new();
             let out = sim
                 .execute(
                     RunConfig::new(&requests)
                         .shards(shards)
                         .threads(2)
-                        .recorder(&mut reg)
                         .sink(&mut collect),
                 )
                 .unwrap();
             (
-                serde_json::to_string(&reg.snapshot()).unwrap(),
+                serde_json::to_string(&out.snapshot).unwrap(),
                 serde_json::to_string(&collect.summarize()).unwrap(),
                 serde_json::to_string(&out.fold).unwrap(),
             )
         };
         let serial = drive(1);
         let sharded = drive(4);
-        assert_eq!(serial.0, sharded.0, "user recorder state diverged");
+        assert_eq!(serial.0, sharded.0, "snapshot diverged");
         assert_eq!(serial.1, sharded.1, "user sink replay diverged");
         // The traces the user sink saw summarize to the fold itself.
         assert_eq!(serial.1, serial.2);
@@ -733,34 +714,25 @@ mod tests {
         }
         let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
         let drive = |shards: usize, window: usize| {
-            let mut reg = Registry::new();
             let mut collect = CollectTraces::new();
             let parts = RunConfig::new(&requests)
                 .shards(shards)
                 .threads(2)
-                .recorder(&mut reg)
                 .sink(&mut collect)
                 .into_parts();
             let out = sim.execute_sharded(parts, window).unwrap();
             (
                 outcome_key(&out),
-                serde_json::to_string(&reg.snapshot()).unwrap(),
                 serde_json::to_string(&collect.traces).unwrap(),
             )
         };
         let serial = {
-            let mut reg = Registry::new();
             let mut collect = CollectTraces::new();
             let out = sim
-                .execute(
-                    RunConfig::new(&requests)
-                        .recorder(&mut reg)
-                        .sink(&mut collect),
-                )
+                .execute(RunConfig::new(&requests).sink(&mut collect))
                 .unwrap();
             (
                 outcome_key(&out),
-                serde_json::to_string(&reg.snapshot()).unwrap(),
                 serde_json::to_string(&collect.traces).unwrap(),
             )
         };

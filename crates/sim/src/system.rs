@@ -20,9 +20,9 @@
 //! Each session is reduced to its numbers in one scalar pass: `serve`
 //! derives the startup latency, playback end, peak buffer, payload,
 //! delivered minutes and peak concurrent receptions once, as a
-//! `SessionScalars`, and every consumer reads that one copy — the metric
-//! recorders, the [`StreamingFold`] on the serial path, the captured
-//! scalars the shard merge replays. The recorders are fed through
+//! `SessionScalars`, and every consumer reads that one copy — the run's
+//! metric registry, the [`StreamingFold`] on the serial path, the
+//! captured scalars the shard merge replays. The registry is fed through
 //! series handles each run resolves lazily, per video and per channel,
 //! the first time that video or channel is served, so a session formats
 //! no label and looks up no series by name.
@@ -46,7 +46,7 @@
 
 use std::borrow::Cow;
 
-use sb_metrics::{MetricKind, MetricOp, Recorder, Registry, SeriesId, Snapshot};
+use sb_metrics::{MetricKind, MetricOp, Registry, SeriesId, Snapshot};
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
 
@@ -265,9 +265,9 @@ pub(crate) struct SweepEnd {
     pub(crate) checkpoints_taken: u64,
 }
 
-/// One recorder's per-session series handles for a run, by video id and
-/// by channel id, each resolved the first time that video or channel is
-/// served — so a series appears in the recorder exactly when the string
+/// A run registry's per-session series handles, by video id and by
+/// channel id, each resolved the first time that video or channel is
+/// served — so a series appears in the registry exactly when the string
 /// calls would have created it.
 #[derive(Default)]
 struct SeriesTable {
@@ -289,9 +289,9 @@ impl SeriesTable {
     /// Record one session into `rec`: its count, latency and peak buffer
     /// on the video's series, then each reception's busy time on its
     /// channel's.
-    fn record<R: Recorder + ?Sized>(
+    fn record(
         &mut self,
-        rec: &mut R,
+        rec: &mut Registry,
         video: VideoId,
         sc: &SessionScalars,
         receptions: &[Reception],
@@ -323,34 +323,18 @@ impl SeriesTable {
     }
 }
 
-/// The recorders a run feeds: the core's own registry (the outcome's
-/// snapshot) with its handles, and the handles into the caller's
-/// recorder, which each step lends.
+/// The registry a run records into (the outcome's snapshot) and its
+/// series handles.
 struct Taps {
     reg: Registry,
-    reg_series: SeriesTable,
-    caller_series: SeriesTable,
+    series: SeriesTable,
 }
 
 impl Taps {
     fn new(reg: Registry) -> Self {
         Self {
             reg,
-            reg_series: SeriesTable::default(),
-            caller_series: SeriesTable::default(),
-        }
-    }
-
-    fn record(
-        &mut self,
-        caller: Option<&mut (dyn Recorder + '_)>,
-        video: VideoId,
-        sc: &SessionScalars,
-        receptions: &[Reception],
-    ) {
-        self.reg_series.record(&mut self.reg, video, sc, receptions);
-        if let Some(rec) = caller {
-            self.caller_series.record(rec, video, sc, receptions);
+            series: SeriesTable::default(),
         }
     }
 }
@@ -364,16 +348,15 @@ struct Held {
 }
 
 /// One request slice's ordered sweep, resumable between steps: the
-/// [`SweepOrder`] cursor, the [`ActiveSweep`], the recorders' handles,
+/// [`SweepOrder`] cursor, the [`ActiveSweep`], the registry's handles,
 /// the checkpoint count and, per video, the last session served. Every
 /// execution path runs one: the serial run and a supervised shard step
 /// it once to the end; a sharded `execute` steps each shard's window by
 /// window. A resumed sweep starts with no session held, which costs it
 /// only the first scheduling of each video again.
 ///
-/// Each step is lent the caller's recorder — the same one every step,
-/// since its series handles are kept — and checkpoint hooks, which need
-/// the whole run's scalars captured and so one step to the end.
+/// A step may be lent checkpoint hooks, which need the whole run's
+/// scalars captured and so one step to the end.
 pub(crate) struct Sweep<'s> {
     sim: &'s SystemSim<'s>,
     requests: &'s [Request],
@@ -430,7 +413,7 @@ impl<'s> Sweep<'s> {
     /// `(arrival tick, slice index)` is before `until` — all of them for
     /// `None` — into `keep`, popping the session ends strictly before
     /// each arrival off the active sweep. Metric events go into the
-    /// core's registry and `rec`; `checkpoints` (which needs
+    /// sweep's registry; `checkpoints` (which needs
     /// [`Keep::Capture`] of the whole run) takes a checkpoint every
     /// `every` sessions and shows the kill probe each popped end and
     /// each arrival.
@@ -438,7 +421,6 @@ impl<'s> Sweep<'s> {
         &mut self,
         until: Option<(u64, usize)>,
         mut keep: Keep<'_>,
-        mut rec: Option<&mut (dyn Recorder + '_)>,
         mut checkpoints: Option<&mut Checkpoints<'_>>,
     ) -> Result<(), ShardCrash> {
         while self.cursor < self.order.len() {
@@ -463,7 +445,6 @@ impl<'s> Sweep<'s> {
                     &mut self.events,
                     owned,
                     &mut self.taps,
-                    rec.as_deref_mut(),
                 )
                 .map_err(ShardCrash::Policy)?;
             self.active.arrive(sc.end_tick);
@@ -502,10 +483,9 @@ impl<'s> Sweep<'s> {
 
     /// End the sweep once every request is served: drain the sessions
     /// still playing (shown to the kill probe), then record the peak
-    /// and the engine counters into the registry and `rec`.
+    /// and the engine counters into the registry.
     pub(crate) fn finish(
         mut self,
-        rec: Option<&mut (dyn Recorder + '_)>,
         mut checkpoints: Option<&mut Checkpoints<'_>>,
     ) -> Result<SweepEnd, ShardCrash> {
         debug_assert_eq!(
@@ -519,21 +499,13 @@ impl<'s> Sweep<'s> {
         let stats = sweep_stats(&[self.order.len()]);
         let peak = self.active.peak();
         let mut reg = self.taps.reg;
-        for r in [
-            Some(&mut reg as &mut dyn Recorder),
-            rec.map(|r| r as &mut dyn Recorder),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            r.gauge_max("sim_peak_active_sessions", &[], peak as f64);
-            for (kind, n) in [
-                ("scheduled", stats.scheduled),
-                ("fired", stats.fired),
-                ("cancelled", stats.cancelled),
-            ] {
-                r.incr("engine_events_total", &[("kind", kind)], n);
-            }
+        reg.gauge_max("sim_peak_active_sessions", &[], peak as f64);
+        for (kind, n) in [
+            ("scheduled", stats.scheduled),
+            ("fired", stats.fired),
+            ("cancelled", stats.cancelled),
+        ] {
+            reg.incr("engine_events_total", &[("kind", kind)], n);
         }
         Ok(SweepEnd {
             peak_active: peak,
@@ -582,7 +554,7 @@ impl<'a> SystemSim<'a> {
     /// path shares; bitwise identity between serial, sharded and
     /// checkpoint-resumed runs rests on this being the *only* copy of
     /// them. Derives the session's scalars once, records them into
-    /// `taps` and `rec`, and returns them with the trace.
+    /// `taps`, and returns them with the trace.
     ///
     /// `events` is the sweep's scratch for a fresh session's rate-change
     /// list. `held` is the sweep's last session per video. When the model
@@ -605,7 +577,6 @@ impl<'a> SystemSim<'a> {
         events: &mut Vec<(f64, f64)>,
         owned: bool,
         taps: &mut Taps,
-        rec: Option<&mut (dyn Recorder + '_)>,
     ) -> Result<(SessionScalars, Cow<'h, SessionTrace>), PolicyError> {
         let fresh = match held.get_mut(r.video.0).and_then(Option::as_mut) {
             Some(h) if self.model.reuses(index, r.video, &h.trace, r.at) => {
@@ -665,7 +636,8 @@ impl<'a> SystemSim<'a> {
             (None, Some(h)) => (h.sc, Cow::Borrowed(&h.trace)),
             (None, None) => unreachable!("a session not returned is held"),
         };
-        taps.record(rec, r.video, &sc, &trace.receptions);
+        taps.series
+            .record(&mut taps.reg, r.video, &sc, &trace.receptions);
         Ok((sc, trace))
     }
 }
@@ -725,20 +697,14 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_matches_bare_run_and_fills_registry() {
+    fn a_run_fills_its_snapshot() {
         let cfg = SystemConfig::paper_defaults(Mbps(300.0));
         let scheme = Skyscraper::with_width(Width::Capped(52));
         let plan = scheme.plan(&cfg).unwrap();
         let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
         let requests = requests_grid(60, 10, 30.0);
-        let bare = sim.execute(RunConfig::new(&requests)).unwrap().summary;
-        let mut reg = sb_metrics::Registry::new();
-        let recorded = sim
-            .execute(RunConfig::new(&requests).recorder(&mut reg))
-            .unwrap()
-            .summary;
-        assert_eq!(bare, recorded, "recording must not steer the simulation");
-        let snap = reg.snapshot();
+        let out = sim.execute(RunConfig::new(&requests)).unwrap();
+        let (bare, snap) = (out.summary, out.snapshot);
         assert_eq!(snap.counter_total("sim_sessions_total"), 60);
         // 60 sessions over 10 videos → 10 per-video latency series.
         assert_eq!(snap.family("sim_latency_minutes").unwrap().series.len(), 10);

@@ -9,10 +9,9 @@
 //! them, with duplicates, in unsorted order over several videos, so the
 //! sessions of one broadcast class differ only in their arrival and
 //! every arrival filter a model has is exercised at its boundary. For
-//! shards {1, 4} × threads {1, 2}, with and without a caller recorder
-//! and sink, the summary, fold, core snapshot, caller registry and the
-//! traces a `CollectTraces` sink receives must serialize to the same
-//! bytes.
+//! shards {1, 4} × threads {1, 2}, with and without a caller sink, the
+//! summary, fold, snapshot and the traces a `CollectTraces` sink
+//! receives must serialize to the same bytes.
 
 use proptest::prelude::*;
 use vod_units::{Mbits, Mbps, Minutes};
@@ -24,7 +23,6 @@ use sb_core::plan::{
 use sb_core::scheme::BroadcastScheme;
 use sb_core::series::Width;
 use sb_core::Skyscraper;
-use sb_metrics::Registry;
 use sb_pyramid::{HarmonicBroadcasting, PermutationPyramid};
 use sb_sim::policy::{ClientPolicy, PolicyError};
 use sb_sim::system::{Request, SystemSim};
@@ -92,8 +90,8 @@ fn caught(index: &PlanIndex<'_>, video: VideoId, t: f64) -> f64 {
 }
 
 /// Every byte a run's caller and outcome see, as one string per part:
-/// summary, fold, core snapshot, and — when `observed` — the caller's
-/// registry and the traces its sink received.
+/// summary, fold, snapshot, and — when `observed` — the traces the
+/// caller's sink received.
 fn run_bytes(
     sim: &SystemSim<'_>,
     reqs: &[Request],
@@ -107,15 +105,12 @@ fn run_bytes(
             .unwrap();
         return vec![json(&out.summary), json(&out.fold), json(&out.snapshot)];
     }
-    let mut reg = Registry::new();
-    reg.incr("sim_sessions_total", &[("video", "0")], 3);
     let mut collect = CollectTraces::new();
     let out = sim
         .execute(
             RunConfig::new(reqs)
                 .shards(shards)
                 .threads(threads)
-                .recorder(&mut reg)
                 .sink(&mut collect),
         )
         .unwrap();
@@ -123,7 +118,6 @@ fn run_bytes(
         json(&out.summary),
         json(&out.fold),
         json(&out.snapshot),
-        json(&reg.snapshot()),
         json(&collect.traces),
     ]
 }
