@@ -26,6 +26,7 @@ use crate::crosscheck::{crosscheck_seeded, crosscheck_seeded_recorded, CrossChec
 use crate::lineup::SchemeId;
 use crate::sweep::{evaluate, SweepRow};
 use sb_core::config::SystemConfig;
+use sb_core::error::{Result, SchemeError};
 use sb_metrics::{Registry, Snapshot};
 
 /// A named evaluation grid: which schemes, at which bandwidths, under
@@ -278,13 +279,16 @@ pub fn run_crosscheck(
 /// [`Registry`]; the per-cell snapshots are merged *in grid (index)
 /// order*, so both the checks and the snapshot are byte-identical for
 /// every thread count.
-#[must_use]
+///
+/// # Errors
+/// [`SchemeError::MetricMerge`] when two cells' snapshots hold one
+/// family or series in two shapes.
 pub fn run_crosscheck_instrumented(
     exp: &Experiment,
     horizon: Minutes,
     samples: usize,
     runner: &Runner,
-) -> (Vec<CrossCheck>, Snapshot) {
+) -> Result<(Vec<CrossCheck>, Snapshot)> {
     let grid = exp.grid();
     let stage = format!("{}:sim", exp.name);
     let cells: Vec<(Option<CrossCheck>, Snapshot)> = runner.timed_map(&stage, &grid, |&(id, b)| {
@@ -296,12 +300,13 @@ pub fn run_crosscheck_instrumented(
     let mut snapshot = Snapshot::default();
     for (check, snap) in cells {
         checks.extend(check);
-        // Every cell records the same families through the same code.
         snapshot
             .merge(&snap)
-            .expect("crosscheck cells record one shape per metric family");
+            .map_err(|e| SchemeError::MetricMerge {
+                what: e.to_string(),
+            })?;
     }
-    (checks, snapshot)
+    Ok((checks, snapshot))
 }
 
 /// Analytic sweep plus empirical cross-check, as one serializable report —
@@ -342,27 +347,29 @@ pub fn run_experiment(
 /// [`run_experiment`] additionally returning the merged metrics snapshot
 /// of the empirical half. The [`SweepReport`] is byte-identical to the
 /// uninstrumented one; the snapshot is empty for analytic-only runs.
-#[must_use]
+///
+/// # Errors
+/// [`SchemeError::MetricMerge`] from [`run_crosscheck_instrumented`].
 pub fn run_experiment_instrumented(
     exp: &Experiment,
     horizon: Minutes,
     samples: usize,
     runner: &Runner,
-) -> (SweepReport, Snapshot) {
+) -> Result<(SweepReport, Snapshot)> {
     let rows = run_sweep(exp, runner);
     let (checks, snapshot) = if samples > 0 {
-        run_crosscheck_instrumented(exp, horizon, samples, runner)
+        run_crosscheck_instrumented(exp, horizon, samples, runner)?
     } else {
         (Vec::new(), Snapshot::default())
     };
-    (
+    Ok((
         SweepReport {
             experiment: exp.clone(),
             rows,
             checks,
         },
         snapshot,
-    )
+    ))
 }
 
 #[cfg(test)]

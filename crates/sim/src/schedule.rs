@@ -7,8 +7,7 @@
 //! Table-1 metrics empirically:
 //!
 //! * [`ClientSchedule::startup_latency`] — arrival → playback start,
-//! * [`ClientSchedule::peak_concurrent_receive_rate`] /
-//!   [`ClientSchedule::max_concurrent_downloads`] — client I/O pressure,
+//! * [`ClientSchedule::max_concurrent_downloads`] — client I/O pressure,
 //! * [`ClientSchedule::peak_buffer`] — the maximum of the piecewise-linear
 //!   buffer-occupancy curve (received − consumed).
 //!
@@ -186,13 +185,6 @@ impl ClientSchedule {
         self.trace().max_concurrent_receptions()
     }
 
-    /// Peak aggregate reception rate across concurrent downloads — the
-    /// "receiving" half of the client's disk-bandwidth requirement.
-    #[must_use]
-    pub fn peak_concurrent_receive_rate(&self) -> Mbps {
-        self.trace().peak_concurrent_receive_rate()
-    }
-
     /// The buffer-occupancy curve as `(time, Mbits)` vertices: total data
     /// received minus total data consumed, evaluated at every breakpoint
     /// (download starts/ends, playback start/end).
@@ -297,7 +289,6 @@ mod tests {
         let s = toy();
         assert!(s.jitter_violations(1e-9).is_empty());
         assert_eq!(s.max_concurrent_downloads(), 2);
-        assert!(s.peak_concurrent_receive_rate().approx_eq(Mbps(4.5), 1e-9));
     }
 
     #[test]
@@ -368,8 +359,9 @@ mod tests {
             let profile = s.buffer_profile();
             prop_assert!(profile.first().unwrap().1.value() < 1e-6);
             prop_assert!(profile.last().unwrap().1.value() < 1e-6);
-            // Peak receive rate is at most two display-rate streams.
-            prop_assert!(s.peak_concurrent_receive_rate().value() <= 2.0 * 1.5 + 1e-9);
+            // At most two streams, none above the display rate: the
+            // client receives at most two display-rate loaders' worth.
+            prop_assert!(s.downloads.iter().all(|d| d.rate.value() <= cfg.display_rate.value() + 1e-9));
         }
 
         /// `required_start` is the exact feasibility boundary: starting at

@@ -18,7 +18,6 @@
 //!   shortfall: lateness of a constant-rate reception is linear in the
 //!   content offset, so its maximum sits at an interval endpoint);
 //! * **client I/O pressure** — [`SessionTrace::max_concurrent_receptions`],
-//!   [`SessionTrace::peak_concurrent_receive_rate`],
 //!   [`SessionTrace::single_tuner`].
 //!
 //! The [`ClientModel`] trait is the uniform entry point producing traces:
@@ -235,25 +234,6 @@ impl SessionTrace {
         let mut events = Vec::new();
         self.rate_changes(&mut events);
         max_concurrent(&events)
-    }
-
-    /// Peak aggregate reception rate across concurrent receptions — the
-    /// "receiving" half of the client's disk-bandwidth requirement.
-    #[must_use]
-    pub fn peak_concurrent_receive_rate(&self) -> Mbps {
-        let mut events: Vec<(f64, f64)> = Vec::with_capacity(self.receptions.len() * 2);
-        for rec in &self.receptions {
-            events.push((rec.start.value(), rec.rate.value()));
-            events.push((rec.end().value() - 1e-9, -rec.rate.value()));
-        }
-        events.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        let mut cur = 0.0f64;
-        let mut max = 0.0f64;
-        for (_, delta) in events {
-            cur += delta;
-            max = max.max(cur);
-        }
-        Mbps(max)
     }
 
     /// `true` when no two receptions overlap by more than `tol` minutes

@@ -50,11 +50,11 @@ fn instrumented_metrics_snapshots_are_byte_identical_across_thread_counts() {
     let exp =
         Experiment::over_range("determinism", paper_lineup(), 100.0, 600.0, 100.0).with_seed(97);
     let (serial_rows, serial_snap) =
-        run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::serial());
+        run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::serial()).unwrap();
     let serial_bytes = serde_json::to_string_pretty(&serial_snap).unwrap();
     for threads in [2, 8] {
         let (rows, snap) =
-            run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::new(threads));
+            run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::new(threads)).unwrap();
         assert_eq!(
             serde_json::to_string_pretty(&serial_rows).unwrap(),
             serde_json::to_string_pretty(&rows).unwrap(),
@@ -74,7 +74,8 @@ fn instrumented_metrics_snapshots_are_byte_identical_across_thread_counts() {
 #[test]
 fn instrumented_crosscheck_labels_every_cell() {
     let exp = Experiment::new("labels", paper_lineup(), vec![300.0]).with_seed(7);
-    let (cells, snap) = run_crosscheck_instrumented(&exp, Minutes(15.0), 4, &Runner::serial());
+    let (cells, snap) =
+        run_crosscheck_instrumented(&exp, Minutes(15.0), 4, &Runner::serial()).unwrap();
     let feasible = snap
         .counter("crosscheck_cells_total", "feasible=true")
         .unwrap_or(0);
