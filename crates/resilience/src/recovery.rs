@@ -245,8 +245,8 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {}
 
 /// The run shape a supervised execution shares with `RunConfig`: the
-/// supervisor needs the borrowing slots (`sink`, `recorder`) gone but
-/// everything that decides *bytes* kept.
+/// supervisor needs the borrowing `sink` slot gone but everything that
+/// decides *bytes* kept.
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec<'a> {
     /// Shard count (≥ 1).

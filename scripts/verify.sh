@@ -30,12 +30,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p sb-sim -p sb-workload -p sb-batching -p sb-metrics -p sb-control \
     -p sb-resilience -p sb-analysis -p sb-cli
 
-echo "==> popularity-shift smoke (static vs dynamic control)"
-cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11 --threads 2
+echo "==> popularity-shift smoke (static vs dynamic control, determinism across --threads 1/2)"
+# Each run's snapshot is relabeled with its policy and merged in seed
+# order: stdout, --json and --metrics must not depend on the thread count.
+res_a="$(mktemp)"; res_b="$(mktemp)"; ctl_dir="$(mktemp -d)"
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir"' EXIT
+for n in 1 2; do
+    cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11,23 --threads "$n" \
+        --json "$ctl_dir/ctl-$n.json" --metrics "$ctl_dir/m-$n.json" 2>/dev/null > "$ctl_dir/ctl-$n.out"
+done
+test -s "$ctl_dir/ctl-1.json" || { echo "control --json is empty"; exit 1; }
+grep -q 'policy=dynamic' "$ctl_dir/m-1.json"
+cmp "$ctl_dir/ctl-1.out" "$ctl_dir/ctl-2.out"
+cmp "$ctl_dir/ctl-1.json" "$ctl_dir/ctl-2.json"
+cmp "$ctl_dir/m-1.json" "$ctl_dir/m-2.json"
 
 echo "==> resilience smoke (fault study, determinism across reruns)"
-res_a="$(mktemp)"; res_b="$(mktemp)"
-trap 'rm -f "$res_a" "$res_b"' EXIT
 cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
     2>/dev/null > "$res_a"
 cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
@@ -47,7 +57,7 @@ echo "==> scale smoke (sharded core, determinism across --shards 1/2/4 x --threa
 # the sharded runs merge one snapshot per shard, and every shard count
 # must write the same snapshot bytes.
 scale_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 4; do
         cargo run -q -p sb-cli --bin sbcast -- scale --sessions 3000 --horizon 300 \
@@ -71,7 +81,7 @@ done
 
 echo "==> scenario smoke (metro pack, determinism across --shards x --threads)"
 scn_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir"' EXIT
 for combo in "1 1" "2 4" "4 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- scenario --profile smoke \
@@ -94,7 +104,7 @@ echo "==> recovery smoke (kill/resume byte identity over --shards x --threads)"
 # "identical to uninterrupted execute: yes" (the binary exits nonzero on
 # divergence) at every shard count and thread count.
 rec_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 2; do
         chaos="kill:0@ckpt:1;kill:0@tick:40000"
@@ -152,7 +162,7 @@ echo "==> frontier smoke (scheme zoo Pareto frontier, 4-way over --shards x --th
 # The frontier artifact must be byte-identical — JSON and stdout — for
 # every knob combination: {shards 1, 2} x {threads 1, 2}.
 fr_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke \
@@ -186,7 +196,7 @@ echo "==> distribution smoke (distributed tier, 4-way over --shards x --threads)
 # The distributed-tier artifact must be byte-identical — JSON and stdout —
 # for every knob combination: {shards 1, 2} x {threads 1, 2}.
 dist_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
+trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- distribution --profile smoke \
