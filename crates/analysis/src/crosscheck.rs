@@ -12,7 +12,6 @@ use vod_units::{Mbps, Minutes};
 use sb_core::config::SystemConfig;
 use sb_core::plan::VideoId;
 use sb_core::scheme::SchemeMetrics;
-use sb_metrics::{NullRecorder, Recorder};
 use sb_sim::policy::{schedule_client, ClientPolicy};
 
 use crate::lineup::SchemeId;
@@ -84,47 +83,12 @@ pub fn crosscheck_seeded(
     samples: usize,
     seed: u64,
 ) -> Option<CrossCheck> {
-    crosscheck_seeded_recorded(id, bandwidth, horizon, samples, seed, &mut NullRecorder)
-}
-
-/// [`crosscheck_seeded`] recording per-sample series into `rec`:
-///
-/// * `crosscheck_latency_minutes{scheme, bandwidth}` — startup-latency
-///   histogram over the arrival grid,
-/// * `crosscheck_peak_buffer_mbits{scheme, bandwidth}` — high-water
-///   gauge of the per-client peak buffer,
-/// * `crosscheck_cells_total{feasible}` — cell feasibility counter.
-///
-/// The recording is observational: the returned [`CrossCheck`] is
-/// byte-identical to the unrecorded path.
-#[must_use]
-pub fn crosscheck_seeded_recorded(
-    id: SchemeId,
-    bandwidth: Mbps,
-    horizon: Minutes,
-    samples: usize,
-    seed: u64,
-    rec: &mut dyn Recorder,
-) -> Option<CrossCheck> {
     let cfg = SystemConfig::paper_defaults(bandwidth);
     let scheme = id.build();
-    let (analytic, plan) = match (scheme.metrics(&cfg), scheme.plan(&cfg)) {
-        (Ok(m), Ok(p)) => {
-            rec.incr("crosscheck_cells_total", &[("feasible", "true")], 1);
-            (m, p)
-        }
-        _ => {
-            rec.incr("crosscheck_cells_total", &[("feasible", "false")], 1);
-            return None;
-        }
+    let (Ok(analytic), Ok(plan)) = (scheme.metrics(&cfg), scheme.plan(&cfg)) else {
+        return None;
     };
     let policy = policy_for(id);
-    let scheme_label = id.label();
-    let bw_label = format!("{}", bandwidth.value());
-    let cell = [
-        ("scheme", scheme_label.as_str()),
-        ("bandwidth", bw_label.as_str()),
-    ];
     let phase = if seed == 0 {
         0.31
     } else {
@@ -143,22 +107,12 @@ pub fn crosscheck_seeded_recorded(
         let s = schedule_client(&plan, VideoId(0), arrival, cfg.display_rate, policy)
             .expect("feasible plan serves every arrival");
         debug_assert!(s.jitter_violations(1e-6).is_empty());
-        rec.observe(
-            "crosscheck_latency_minutes",
-            &cell,
-            s.startup_latency().value(),
-        );
-        rec.gauge_max(
-            "crosscheck_peak_buffer_mbits",
-            &cell,
-            s.peak_buffer().value(),
-        );
         worst_latency = worst_latency.max(s.startup_latency().value());
         peak_buffer = peak_buffer.max(s.peak_buffer().value());
         max_streams = max_streams.max(s.max_concurrent_downloads());
     }
     Some(CrossCheck {
-        scheme: scheme_label,
+        scheme: id.label(),
         bandwidth: bandwidth.value(),
         analytic,
         sim_worst_latency: worst_latency,

@@ -22,12 +22,10 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbps, Minutes};
 
-use crate::crosscheck::{crosscheck_seeded, crosscheck_seeded_recorded, CrossCheck};
+use crate::crosscheck::{crosscheck_seeded, CrossCheck};
 use crate::lineup::SchemeId;
 use crate::sweep::{evaluate, SweepRow};
 use sb_core::config::SystemConfig;
-use sb_core::error::{Result, SchemeError};
-use sb_metrics::{Registry, Snapshot};
 
 /// A named evaluation grid: which schemes, at which bandwidths, under
 /// which workload seed.
@@ -274,41 +272,6 @@ pub fn run_crosscheck(
         .collect()
 }
 
-/// [`run_crosscheck`] additionally collecting a merged metrics
-/// [`Snapshot`]. Each grid cell records into its own private
-/// [`Registry`]; the per-cell snapshots are merged *in grid (index)
-/// order*, so both the checks and the snapshot are byte-identical for
-/// every thread count.
-///
-/// # Errors
-/// [`SchemeError::MetricMerge`] when two cells' snapshots hold one
-/// family or series in two shapes.
-pub fn run_crosscheck_instrumented(
-    exp: &Experiment,
-    horizon: Minutes,
-    samples: usize,
-    runner: &Runner,
-) -> Result<(Vec<CrossCheck>, Snapshot)> {
-    let grid = exp.grid();
-    let stage = format!("{}:sim", exp.name);
-    let cells: Vec<(Option<CrossCheck>, Snapshot)> = runner.timed_map(&stage, &grid, |&(id, b)| {
-        let mut reg = Registry::new();
-        let check = crosscheck_seeded_recorded(id, Mbps(b), horizon, samples, exp.seed, &mut reg);
-        (check, reg.snapshot())
-    });
-    let mut checks = Vec::new();
-    let mut snapshot = Snapshot::default();
-    for (check, snap) in cells {
-        checks.extend(check);
-        snapshot
-            .merge(&snap)
-            .map_err(|e| SchemeError::MetricMerge {
-                what: e.to_string(),
-            })?;
-    }
-    Ok((checks, snapshot))
-}
-
 /// Analytic sweep plus empirical cross-check, as one serializable report —
 /// the `sbcast sweep --json` payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -342,34 +305,6 @@ pub fn run_experiment(
         rows,
         checks,
     }
-}
-
-/// [`run_experiment`] additionally returning the merged metrics snapshot
-/// of the empirical half. The [`SweepReport`] is byte-identical to the
-/// uninstrumented one; the snapshot is empty for analytic-only runs.
-///
-/// # Errors
-/// [`SchemeError::MetricMerge`] from [`run_crosscheck_instrumented`].
-pub fn run_experiment_instrumented(
-    exp: &Experiment,
-    horizon: Minutes,
-    samples: usize,
-    runner: &Runner,
-) -> Result<(SweepReport, Snapshot)> {
-    let rows = run_sweep(exp, runner);
-    let (checks, snapshot) = if samples > 0 {
-        run_crosscheck_instrumented(exp, horizon, samples, runner)?
-    } else {
-        (Vec::new(), Snapshot::default())
-    };
-    Ok((
-        SweepReport {
-            experiment: exp.clone(),
-            rows,
-            checks,
-        },
-        snapshot,
-    ))
 }
 
 #[cfg(test)]

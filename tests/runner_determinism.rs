@@ -3,9 +3,7 @@
 //! serialize to the *same bytes* as `--threads 1`.
 
 use skyscraper_broadcasting::analysis::lineup::{extended_lineup, paper_lineup};
-use skyscraper_broadcasting::analysis::runner::{
-    run_crosscheck_instrumented, run_experiment, run_experiment_instrumented, Experiment, Runner,
-};
+use skyscraper_broadcasting::analysis::runner::{run_experiment, Experiment, Runner};
 use skyscraper_broadcasting::units::Minutes;
 
 #[test]
@@ -39,52 +37,5 @@ fn workload_seed_is_a_real_axis() {
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
-    );
-}
-
-#[test]
-fn instrumented_metrics_snapshots_are_byte_identical_across_thread_counts() {
-    // Metrics ride the same contract as results: each grid cell records
-    // into a private registry and snapshots merge in grid order, so the
-    // merged Snapshot must not depend on worker-pool size either.
-    let exp =
-        Experiment::over_range("determinism", paper_lineup(), 100.0, 600.0, 100.0).with_seed(97);
-    let (serial_rows, serial_snap) =
-        run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::serial()).unwrap();
-    let serial_bytes = serde_json::to_string_pretty(&serial_snap).unwrap();
-    for threads in [2, 8] {
-        let (rows, snap) =
-            run_experiment_instrumented(&exp, Minutes(15.0), 8, &Runner::new(threads)).unwrap();
-        assert_eq!(
-            serde_json::to_string_pretty(&serial_rows).unwrap(),
-            serde_json::to_string_pretty(&rows).unwrap(),
-            "{threads}-thread rows diverged"
-        );
-        assert_eq!(
-            serial_bytes,
-            serde_json::to_string_pretty(&snap).unwrap(),
-            "{threads}-thread metrics snapshot diverged"
-        );
-    }
-    // The snapshot actually carries data: one feasible-cell counter per
-    // (scheme, bandwidth) grid point and one latency sample per request.
-    assert!(serial_snap.counter_total("crosscheck_cells_total") > 0);
-}
-
-#[test]
-fn instrumented_crosscheck_labels_every_cell() {
-    let exp = Experiment::new("labels", paper_lineup(), vec![300.0]).with_seed(7);
-    let (cells, snap) =
-        run_crosscheck_instrumented(&exp, Minutes(15.0), 4, &Runner::serial()).unwrap();
-    let feasible = snap
-        .counter("crosscheck_cells_total", "feasible=true")
-        .unwrap_or(0);
-    let infeasible = snap
-        .counter("crosscheck_cells_total", "feasible=false")
-        .unwrap_or(0);
-    assert_eq!(feasible as usize, cells.len());
-    assert_eq!(
-        (feasible + infeasible) as usize,
-        exp.schemes.len() * exp.bandwidths.len()
     );
 }
