@@ -510,7 +510,7 @@ impl Snapshot {
     #[must_use]
     pub fn family(&self, name: &str) -> Option<&FamilySnapshot> {
         self.families
-            .binary_search_by(|f| f.name.cmp(&name.to_string()))
+            .binary_search_by(|f| f.name.as_str().cmp(name))
             .ok()
             .map(|i| &self.families[i])
     }

@@ -33,8 +33,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> popularity-shift smoke (static vs dynamic control, determinism across --threads 1/2)"
 # Each run's snapshot is relabeled with its policy and merged in seed
 # order: stdout, --json and --metrics must not depend on the thread count.
-res_a="$(mktemp)"; res_b="$(mktemp)"; ctl_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir"' EXIT
+ctl_dir="$(mktemp -d)"
+trap 'rm -rf "$ctl_dir"' EXIT
 for n in 1 2; do
     cargo run -q -p sb-cli --bin sbcast -- control --horizon 300 --seeds 11,23 --threads "$n" \
         --json "$ctl_dir/ctl-$n.json" --metrics "$ctl_dir/m-$n.json" 2>/dev/null > "$ctl_dir/ctl-$n.out"
@@ -45,19 +45,28 @@ cmp "$ctl_dir/ctl-1.out" "$ctl_dir/ctl-2.out"
 cmp "$ctl_dir/ctl-1.json" "$ctl_dir/ctl-2.json"
 cmp "$ctl_dir/m-1.json" "$ctl_dir/m-2.json"
 
-echo "==> resilience smoke (fault study, determinism across reruns)"
-cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
-    2>/dev/null > "$res_a"
-cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads 2 \
-    2>/dev/null > "$res_b"
-diff -u "$res_a" "$res_b"
+echo "==> resilience smoke (fault study, determinism across --threads 1/2)"
+# stdout, --json and --metrics must not depend on the thread count, and
+# the metrics must carry the recovery half's repair histogram.
+res_dir="$(mktemp -d)"
+trap 'rm -rf "$ctl_dir" "$res_dir"' EXIT
+for n in 1 2; do
+    cargo run -q -p sb-cli --bin sbcast -- resilience --horizon 200 --seeds 7 --threads "$n" \
+        --json "$res_dir/res-$n.json" --metrics "$res_dir/m-$n.json" \
+        2>/dev/null > "$res_dir/res-$n.out"
+done
+test -s "$res_dir/res-1.json" || { echo "resilience --json is empty"; exit 1; }
+grep -q 'resilience_stall_minutes' "$res_dir/m-1.json"
+cmp "$res_dir/res-1.out" "$res_dir/res-2.out"
+cmp "$res_dir/res-1.json" "$res_dir/res-2.json"
+cmp "$res_dir/m-1.json" "$res_dir/m-2.json"
 
 echo "==> scale smoke (sharded core, determinism across --shards 1/2/4 x --threads 1/4)"
 # --metrics too: each run's core registry is fed through series handles,
 # the sharded runs merge one snapshot per shard, and every shard count
 # must write the same snapshot bytes.
 scale_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir"' EXIT
+trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 4; do
         cargo run -q -p sb-cli --bin sbcast -- scale --sessions 3000 --horizon 300 \
@@ -81,7 +90,7 @@ done
 
 echo "==> scenario smoke (metro pack, determinism across --shards x --threads)"
 scn_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir"' EXIT
+trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir" "$scn_dir"' EXIT
 for combo in "1 1" "2 4" "4 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- scenario --profile smoke \
@@ -104,7 +113,7 @@ echo "==> recovery smoke (kill/resume byte identity over --shards x --threads)"
 # "identical to uninterrupted execute: yes" (the binary exits nonzero on
 # divergence) at every shard count and thread count.
 rec_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
+trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir" "$scn_dir" "$rec_dir"' EXIT
 for s in 1 2 4; do
     for n in 1 2; do
         chaos="kill:0@ckpt:1;kill:0@tick:40000"
@@ -162,7 +171,7 @@ echo "==> frontier smoke (scheme zoo Pareto frontier, 4-way over --shards x --th
 # The frontier artifact must be byte-identical — JSON and stdout — for
 # every knob combination: {shards 1, 2} x {threads 1, 2}.
 fr_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
+trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- frontier --profile smoke \
@@ -196,7 +205,7 @@ echo "==> distribution smoke (distributed tier, 4-way over --shards x --threads)
 # The distributed-tier artifact must be byte-identical — JSON and stdout —
 # for every knob combination: {shards 1, 2} x {threads 1, 2}.
 dist_dir="$(mktemp -d)"
-trap 'rm -f "$res_a" "$res_b"; rm -rf "$ctl_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
+trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir" "$scn_dir" "$rec_dir" "$fr_dir" "$dist_dir"' EXIT
 for combo in "1 1" "1 2" "2 1" "2 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- distribution --profile smoke \
