@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 use vod_units::{Mbps, Minutes};
 
-use sb_control::{ControlConfig, ControlFaults, ControlPolicy, ControlReport, ControlledSim};
+use sb_control::{ControlConfig, ControlPolicy, ControlReport, ControlledSim};
 use sb_core::config::SystemConfig;
 use sb_core::error::{Result, SchemeError};
 use sb_core::plan::VideoId;
@@ -342,7 +342,8 @@ pub fn resilience_study(
         runner.timed_map("resilience-grid", &grid, |p| run_cell(cfg, p));
 
     let catalog = Catalog::paper_defaults(cfg.control.titles);
-    let sim = ControlledSim::new(cfg.control, &catalog)?;
+    let sim = ControlledSim::new(cfg.control, &catalog)?
+        .with_faults(cfg.script.clone(), Degradation::Stall)?;
     let popularity = ZipfPopularity::paper(cfg.control.titles);
     let recovery: Vec<Result<(RecoveryCell, [Snapshot; 2])>> =
         runner.timed_map("resilience-recovery", &cfg.seeds, |&seed| {
@@ -354,14 +355,7 @@ pub fn resilience_study(
             }
             .generate(&popularity, cfg.control_horizon);
             let run = |policy: ControlPolicy| {
-                sim.execute(
-                    policy,
-                    RunConfig::new(&requests).faults(ControlFaults {
-                        script: &cfg.script,
-                        degradation: Degradation::Stall,
-                    }),
-                )
-                .map(|o| {
+                sim.execute(policy, RunConfig::new(&requests)).map(|o| {
                     let label = policy.to_string();
                     (o.summary, o.snapshot.relabel(&[("policy", &label)]))
                 })

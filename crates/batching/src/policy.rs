@@ -6,14 +6,6 @@
 //! baseline the batching literature compares it to.
 
 use serde::{Deserialize, Serialize};
-use vod_units::Minutes;
-
-/// A pending (non-reneged) request in some video's queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pending {
-    /// Arrival time of the request.
-    pub arrival: Minutes,
-}
 
 /// How a freed channel picks its next batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -29,18 +21,24 @@ pub enum BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Choose a queue index among `queues` (a slice of per-video pending
-    /// lists, each sorted by arrival). Returns `None` if all are empty.
-    /// Ties break toward the lower video index, deterministically.
+    /// Choose a queue index among `queues` (the caller's per-video
+    /// pending lists, each sorted by arrival, read in place), where
+    /// `arrival` gives a pending request's arrival time in minutes. Only
+    /// each queue's length and head are read. Returns `None` if all are
+    /// empty. Ties break toward the lower video index, deterministically.
+    ///
+    /// # Panics
+    /// Panics under FCFS if two non-empty queues' head arrivals do not
+    /// compare (a NaN arrival).
     #[must_use]
-    pub fn choose(&self, queues: &[Vec<Pending>]) -> Option<usize> {
+    pub fn choose<T>(&self, queues: &[Vec<T>], arrival: impl Fn(&T) -> f64) -> Option<usize> {
         match self {
             BatchPolicy::Fcfs => queues
                 .iter()
                 .enumerate()
                 .filter(|(_, q)| !q.is_empty())
                 .min_by(|(ai, a), (bi, b)| {
-                    let (ha, hb) = (a[0].arrival, b[0].arrival);
+                    let (ha, hb) = (arrival(&a[0]), arrival(&b[0]));
                     ha.partial_cmp(&hb)
                         .expect("finite arrivals")
                         .then(ai.cmp(bi))
@@ -71,40 +69,36 @@ impl core::fmt::Display for BatchPolicy {
 mod tests {
     use super::*;
 
-    fn q(arrivals: &[f64]) -> Vec<Pending> {
-        arrivals
-            .iter()
-            .map(|&a| Pending {
-                arrival: Minutes(a),
-            })
-            .collect()
+    /// Queues of bare arrival times, read through the identity.
+    fn choose(policy: BatchPolicy, queues: &[Vec<f64>]) -> Option<usize> {
+        policy.choose(queues, |&a| a)
     }
 
     #[test]
     fn fcfs_picks_oldest_head() {
-        let queues = vec![q(&[5.0, 6.0]), q(&[2.0]), q(&[3.0, 3.5, 4.0])];
-        assert_eq!(BatchPolicy::Fcfs.choose(&queues), Some(1));
+        let queues = vec![vec![5.0, 6.0], vec![2.0], vec![3.0, 3.5, 4.0]];
+        assert_eq!(choose(BatchPolicy::Fcfs, &queues), Some(1));
     }
 
     #[test]
     fn mql_picks_longest_queue() {
-        let queues = vec![q(&[5.0, 6.0]), q(&[2.0]), q(&[3.0, 3.5, 4.0])];
-        assert_eq!(BatchPolicy::Mql.choose(&queues), Some(2));
+        let queues = vec![vec![5.0, 6.0], vec![2.0], vec![3.0, 3.5, 4.0]];
+        assert_eq!(choose(BatchPolicy::Mql, &queues), Some(2));
     }
 
     #[test]
     fn empty_queues_yield_none() {
-        let queues: Vec<Vec<Pending>> = vec![vec![], vec![]];
-        assert_eq!(BatchPolicy::Fcfs.choose(&queues), None);
-        assert_eq!(BatchPolicy::Mql.choose(&queues), None);
+        let queues: Vec<Vec<f64>> = vec![vec![], vec![]];
+        assert_eq!(choose(BatchPolicy::Fcfs, &queues), None);
+        assert_eq!(choose(BatchPolicy::Mql, &queues), None);
     }
 
     #[test]
     fn ties_break_deterministically_low_index() {
-        let queues = vec![q(&[1.0]), q(&[1.0])];
-        assert_eq!(BatchPolicy::Fcfs.choose(&queues), Some(0));
-        let queues = vec![vec![], q(&[9.0]), q(&[1.0])];
+        let queues = vec![vec![1.0], vec![1.0]];
+        assert_eq!(choose(BatchPolicy::Fcfs, &queues), Some(0));
+        let queues = vec![vec![], vec![9.0], vec![1.0]];
         // Equal lengths: MQL prefers the lower index.
-        assert_eq!(BatchPolicy::Mql.choose(&queues), Some(1));
+        assert_eq!(choose(BatchPolicy::Mql, &queues), Some(1));
     }
 }

@@ -15,7 +15,7 @@ use vod_units::Minutes;
 
 use sb_workload::{Catalog, WorkloadRequest};
 
-use crate::policy::{BatchPolicy, Pending};
+use crate::policy::BatchPolicy;
 
 /// Per-request outcome of a batching run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -174,17 +174,7 @@ impl BatchingServer {
                         }
                     });
                 }
-                let view: Vec<Vec<Pending>> = queues
-                    .iter()
-                    .map(|q| {
-                        q.iter()
-                            .map(|&(a, _, _)| Pending {
-                                arrival: Minutes(a),
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let Some(v) = self.policy.choose(&view) else {
+                let Some(v) = self.policy.choose(queues, |&(a, _, _)| a) else {
                     return;
                 };
                 // Serve the whole batch for video v.

@@ -28,6 +28,4 @@ pub mod sim;
 pub use admission::{AdmissionControl, AdmissionDecision, Backoff};
 pub use allocator::{ChannelAllocator, CommittedSwap, PendingSwap, PlannedSwap, Slot};
 pub use estimator::PopularityEstimator;
-pub use sim::{
-    ControlConfig, ControlFaults, ControlOutcome, ControlPolicy, ControlReport, ControlledSim,
-};
+pub use sim::{ControlConfig, ControlOutcome, ControlPolicy, ControlReport, ControlledSim};

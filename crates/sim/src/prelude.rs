@@ -34,7 +34,7 @@ pub use crate::distribution::{
 };
 pub use crate::engine::EngineStats;
 pub use crate::run::{RunConfig, RunOutcome, RunParts};
-pub use crate::shard::{merge_shard_runs, plan_shards, shard_of, ShardSlice};
+pub use crate::shard::{merge_shard_runs, owning_shard, plan_shards, shard_of, ShardSlice};
 pub use crate::sink::{CollectTraces, NullSink, SessionSummary, StreamingFold, TraceSink};
 pub use crate::system::{Request, SystemReport, SystemSim};
 pub use crate::trace::{ClientModel, SessionTrace};

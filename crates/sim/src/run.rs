@@ -1,25 +1,22 @@
 //! The one run entry point: [`RunConfig`] and [`RunOutcome`].
 //!
-//! Before this module the workspace had six run variants — four on
-//! [`crate::system::SystemSim`] (`run`, `run_recorded`, `run_with_sink`,
-//! `run_instrumented`) and two on `sb-control`'s `ControlledSim` (`run`,
-//! `run_with_faults`) — each a different subset of {recorder, sink,
-//! faults, stats}. Every new capability multiplied the surface again,
-//! and none of them could scale out. [`RunConfig`] collapses the matrix
-//! into one builder with optional slots:
+//! A [`RunConfig`] describes a run by what every executor reads — the
+//! requests, the shard count, the worker threads, the shard-hash seed
+//! and the scenario's partition table — plus, on system runs only, a
+//! sink for the session traces:
 //!
 //! ```text
 //! RunConfig::new(&requests)
-//!     .sink(&mut fold)          // optional: stream finished traces
-//!     .faults(script)           // optional: control-plane fault payload
+//!     .sink(&mut fold)          // optional, system runs only: stream finished traces
 //!     .shards(4)                // optional: partitioned scale-out
 //!     .threads(4)               // optional: worker pool for the shards
 //!     .seed(7)                  // optional: catalog-to-shard hash seed
 //!     .partition(&map)          // optional: scenario's video → shard table
 //! ```
 //!
-//! consumed by `SystemSim::execute` (and, generically over the request
-//! and fault payload types, by `ControlledSim::execute`). The outcome
+//! consumed by `SystemSim::execute` (and, over the control plane's
+//! request type, by `ControlledSim::execute`, whose fault script lives on
+//! the simulator, not on the run). The outcome
 //! always carries the report, the streamed [`SessionSummary`], merged
 //! [`EngineStats`], and a metrics [`Snapshot`] — byte-identical for any
 //! shard count and any thread count (see `sim::shard`). The snapshot is
@@ -31,19 +28,19 @@ use sb_metrics::Snapshot;
 
 use crate::engine::EngineStats;
 use crate::sink::{SessionSummary, TraceSink};
-use crate::system::SystemReport;
+use crate::system::{Request, SystemReport};
 
 /// Declarative description of one simulation run.
 ///
-/// Generic over the request type `R` (the system sim's
-/// [`crate::system::Request`], the control plane's `WorkloadRequest`)
-/// and the fault payload `F` carried to fault-aware executors (`()` when
-/// the executor takes none). Build with [`RunConfig::new`] plus the
-/// chained setters; executors destructure via [`RunConfig::into_parts`].
-pub struct RunConfig<'a, R, F = ()> {
+/// Generic over the request type `R` (the system sim's [`Request`], the
+/// control plane's `WorkloadRequest`). Build with [`RunConfig::new`]
+/// plus the chained setters; executors destructure via
+/// [`RunConfig::into_parts`]. Only a [`Request`] config has a
+/// [`sink`](RunConfig::sink) setter: the other executors produce no
+/// session traces for one to read.
+pub struct RunConfig<'a, R> {
     requests: &'a [R],
     sink: Option<&'a mut dyn TraceSink>,
-    faults: Option<F>,
     shards: usize,
     threads: usize,
     seed: u64,
@@ -52,49 +49,16 @@ pub struct RunConfig<'a, R, F = ()> {
 
 impl<'a, R> RunConfig<'a, R> {
     /// A run over `requests` with every slot empty: one shard, one
-    /// thread, seed 0, no sink, no faults.
+    /// thread, seed 0, no sink.
     #[must_use]
     pub fn new(requests: &'a [R]) -> Self {
         Self {
             requests,
             sink: None,
-            faults: None,
             shards: 1,
             threads: 1,
             seed: 0,
             partition: None,
-        }
-    }
-}
-
-impl<'a, R, F> RunConfig<'a, R, F> {
-    /// Stream every finished session trace into `sink`.
-    ///
-    /// The sink observes every trace in global sweep order. With
-    /// `shards(1)` it sees each as it finishes, retaining nothing; with
-    /// more shards the executor buffers one merge window of traces
-    /// (about a thousand sessions) at a time, however long the run.
-    #[must_use]
-    pub fn sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Attach a fault payload, changing the config's fault type.
-    ///
-    /// What `F2` means is up to the executor: `ControlledSim::execute`
-    /// takes its script-plus-degradation bundle; `SystemSim::execute`
-    /// accepts only `()` (loss injection happens downstream of traces).
-    #[must_use]
-    pub fn faults<F2>(self, faults: F2) -> RunConfig<'a, R, F2> {
-        RunConfig {
-            requests: self.requests,
-            sink: self.sink,
-            faults: Some(faults),
-            shards: self.shards,
-            threads: self.threads,
-            seed: self.seed,
-            partition: self.partition,
         }
     }
 
@@ -142,11 +106,10 @@ impl<'a, R, F> RunConfig<'a, R, F> {
 
     /// Destructure into the executor-facing parts.
     #[must_use]
-    pub fn into_parts(self) -> RunParts<'a, R, F> {
+    pub fn into_parts(self) -> RunParts<'a, R> {
         RunParts {
             requests: self.requests,
             sink: self.sink,
-            faults: self.faults,
             shards: self.shards,
             threads: self.threads,
             seed: self.seed,
@@ -155,14 +118,26 @@ impl<'a, R, F> RunConfig<'a, R, F> {
     }
 }
 
+impl<'a> RunConfig<'a, Request> {
+    /// Stream every finished session trace into `sink`.
+    ///
+    /// The sink observes every trace in global sweep order. With
+    /// `shards(1)` it sees each as it finishes, retaining nothing; with
+    /// more shards the executor buffers one merge window of traces
+    /// (about a thousand sessions) at a time, however long the run.
+    #[must_use]
+    pub fn sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+}
+
 /// The destructured fields of a [`RunConfig`], for executors.
-pub struct RunParts<'a, R, F> {
+pub struct RunParts<'a, R> {
     /// The request stream (need not be sorted).
     pub requests: &'a [R],
-    /// Optional trace sink.
+    /// Optional trace sink; only a [`Request`] config can set it.
     pub sink: Option<&'a mut dyn TraceSink>,
-    /// Optional fault payload.
-    pub faults: Option<F>,
     /// Shard count (≥ 1).
     pub shards: usize,
     /// Worker threads (0 = one per core).
@@ -192,11 +167,6 @@ pub struct RunOutcome {
     /// Each shard's agenda high-water mark, in shard order (`len ==
     /// shards`): the per-server memory story of a scale-out run.
     pub shard_peak_agenda: Vec<u64>,
-    /// Sessions routed to each shard, in shard order (`len == shards`):
-    /// the per-server load story the distributed tier reads. Like
-    /// `shard_peak_agenda`, this legitimately varies with the shard
-    /// count and is excluded from byte-identity comparisons.
-    pub shard_sessions: Vec<usize>,
     /// Snapshot of the run's metrics registry, merged across shards in
     /// shard order.
     pub snapshot: Snapshot,
@@ -212,21 +182,7 @@ mod tests {
         let parts = RunConfig::new(&reqs).into_parts();
         assert_eq!(parts.requests, &[1, 2, 3]);
         assert!(parts.sink.is_none());
-        assert!(parts.faults.is_none());
         assert_eq!((parts.shards, parts.threads, parts.seed), (1, 1, 0));
-    }
-
-    #[test]
-    fn faults_setter_changes_the_payload_type() {
-        let reqs: Vec<u8> = vec![9];
-        let parts = RunConfig::new(&reqs)
-            .shards(4)
-            .threads(2)
-            .seed(11)
-            .faults("script")
-            .into_parts();
-        assert_eq!(parts.faults, Some("script"));
-        assert_eq!((parts.shards, parts.threads, parts.seed), (4, 2, 11));
     }
 
     #[test]

@@ -7,7 +7,6 @@ use skyscraper_broadcasting::analysis::resilience_study::{
     resilience_study, ResilienceStudyConfig,
 };
 use skyscraper_broadcasting::analysis::Runner;
-use skyscraper_broadcasting::control::ControlFaults;
 use skyscraper_broadcasting::control::{ControlConfig, ControlPolicy, ControlledSim};
 use skyscraper_broadcasting::resilience::{ChannelOutage, Degradation, FaultScript};
 use skyscraper_broadcasting::sim::RunConfig;
@@ -52,13 +51,10 @@ fn outage_recovery_completes_every_session_and_dynamic_wins() {
     for policy in [ControlPolicy::Static, ControlPolicy::Dynamic] {
         for degradation in [Degradation::Stall, Degradation::SkipSegment] {
             let r = sim
-                .execute(
-                    policy,
-                    RunConfig::new(&requests).faults(ControlFaults {
-                        script: &script,
-                        degradation,
-                    }),
-                )
+                .clone()
+                .with_faults(script.clone(), degradation)
+                .unwrap()
+                .execute(policy, RunConfig::new(&requests))
                 .unwrap()
                 .summary;
             // Nobody starves: every offered request ends served,
