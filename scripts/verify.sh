@@ -89,15 +89,19 @@ for s in 1 2 4; do
 done
 
 echo "==> scenario smoke (metro pack, determinism across --shards x --threads)"
+# --metrics too: the flagship pass runs at each --shards, and every combo
+# must write the same snapshot bytes.
 scn_dir="$(mktemp -d)"
 trap 'rm -rf "$ctl_dir" "$res_dir" "$scale_dir" "$scn_dir"' EXIT
 for combo in "1 1" "2 4" "4 2"; do
     read -r s n <<<"$combo"
     cargo run -q --release -p sb-cli --bin sbcast -- scenario --profile smoke \
         --shards "$s" --threads "$n" \
-        --json "$scn_dir/scn-$s-$n.json" 2>/dev/null > "$scn_dir/scn-$s-$n.out"
+        --json "$scn_dir/scn-$s-$n.json" --metrics "$scn_dir/m-$s-$n.json" \
+        2>/dev/null > "$scn_dir/scn-$s-$n.out"
 done
 test -s "$scn_dir/scn-1-1.json" || { echo "BENCH_scenario.json is empty"; exit 1; }
+test -s "$scn_dir/m-1-1.json" || { echo "scenario --metrics snapshot is empty"; exit 1; }
 grep -q '"demand_share"' "$scn_dir/scn-1-1.json"
 grep -q '"dynamic_report"' "$scn_dir/scn-1-1.json"
 grep -q '"shard_peak_agenda"' "$scn_dir/scn-1-1.json"
@@ -105,6 +109,7 @@ for combo in "2 4" "4 2"; do
     read -r s n <<<"$combo"
     diff -u "$scn_dir/scn-1-1.json" "$scn_dir/scn-$s-$n.json"
     diff -u "$scn_dir/scn-1-1.out" "$scn_dir/scn-$s-$n.out"
+    cmp "$scn_dir/m-1-1.json" "$scn_dir/m-$s-$n.json"
 done
 
 echo "==> recovery smoke (kill/resume byte identity over --shards x --threads)"
