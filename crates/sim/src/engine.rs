@@ -13,6 +13,12 @@
 //! scheduled, because the heap orders entries by `(tick, seq)` with a
 //! globally monotonic `seq`.
 //!
+//! Events known before the run starts need not pass through the agenda.
+//! [`Engine::run_with`] merges a caller's tick-ordered stream into the
+//! one run loop: a streamed event fires before every agenda entry of its
+//! tick, exactly as if it had been scheduled ahead of them, and never
+//! takes a heap entry or a slab slot.
+//!
 //! ## The agenda: slab slots, generations, amortized compaction
 //!
 //! Event liveness is tracked in a **slab**: every scheduled event owns a
@@ -81,14 +87,15 @@ struct Slot {
 /// every instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineStats {
-    /// Events ever scheduled.
+    /// Events ever scheduled, streamed events included.
     pub scheduled: u64,
-    /// Events that fired.
+    /// Events that fired, streamed events included.
     pub fired: u64,
     /// Events cancelled before firing.
     pub cancelled: u64,
     /// High-water mark of the agenda length (live + stale entries) —
-    /// the engine's memory footprint in events.
+    /// the engine's memory footprint in events. Streamed events never
+    /// enter the agenda, so they do not count here.
     pub peak_agenda: u64,
     /// Heap rebuilds that purged stale (lazily-cancelled) entries.
     pub compactions: u64,
@@ -259,7 +266,7 @@ impl<E> Engine<E> {
     /// [`Engine::pending`] stays exact no matter what callers pass in.
     ///
     /// The agenda entry is dropped lazily — either when it surfaces in
-    /// [`Engine::next`]/[`Engine::run_until`] or when stale entries
+    /// [`Engine::next`] or a run loop, or when stale entries
     /// outnumber live ones and the agenda compacts.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let (slot, gen) = (id.slot(), id.gen());
@@ -316,42 +323,88 @@ impl<E> Engine<E> {
         None
     }
 
-    /// Run the agenda to exhaustion, calling `handler` for each event.
-    /// The handler may schedule further events through the engine.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Self, Ticks, E)) {
-        while let Some((at, payload)) = self.next() {
-            handler(self, at, payload);
+    /// Drop stale entries off the top of the agenda and return the tick
+    /// of the next live one, without firing it.
+    fn peek_live(&mut self) -> Option<Ticks> {
+        loop {
+            let (at, id) = self.agenda.peek().map(|e| (e.at, e.id))?;
+            if self.id_live(id) {
+                return Some(at);
+            }
+            self.agenda.pop(); // cancelled; drop the stale entry
+            self.stale -= 1;
         }
     }
-}
 
-// `run` needs to pass `&mut self` into the handler while iterating; do the
-// loop manually to satisfy the borrow checker.
-impl<E> Engine<E> {
+    /// Run the agenda to exhaustion, calling `handler` for each event.
+    /// The handler may schedule further events through the engine.
+    pub fn run(&mut self, handler: impl FnMut(&mut Self, Ticks, E)) {
+        self.drive(core::iter::empty(), None, handler);
+    }
+
+    /// Like [`Engine::run`], with the events of `stream` merged in.
+    ///
+    /// `stream` yields `(tick, payload)` pairs in non-decreasing tick
+    /// order, and each fires before every agenda entry of its tick, as
+    /// if all of them had been scheduled before anything else. Streamed
+    /// events never enter the agenda: they hold no slot and no heap
+    /// entry, and count as both scheduled and fired in [`Engine::stats`]
+    /// (but not in `peak_agenda`). A caller with many known-in-advance
+    /// events keeps the agenda down to the events its handler schedules.
+    ///
+    /// # Panics
+    /// Panics if `stream` goes backwards: a streamed tick before the
+    /// current time, like [`Engine::schedule_at`] into the past.
+    pub fn run_with(
+        &mut self,
+        stream: impl IntoIterator<Item = (Ticks, E)>,
+        handler: impl FnMut(&mut Self, Ticks, E),
+    ) {
+        self.drive(stream, None, handler);
+    }
+
     /// Like [`Engine::run`] but stops once the clock passes `horizon`
     /// (events beyond it stay pending).
-    pub fn run_until(&mut self, horizon: Ticks, mut handler: impl FnMut(&mut Self, Ticks, E)) {
+    pub fn run_until(&mut self, horizon: Ticks, handler: impl FnMut(&mut Self, Ticks, E)) {
+        self.drive(core::iter::empty(), Some(horizon), handler);
+    }
+
+    /// The one run loop: fire the earlier of the stream's head and the
+    /// agenda's next live entry (the stream's on a tie) until both are
+    /// exhausted or the next event lies past `horizon`.
+    fn drive(
+        &mut self,
+        stream: impl IntoIterator<Item = (Ticks, E)>,
+        horizon: Option<Ticks>,
+        mut handler: impl FnMut(&mut Self, Ticks, E),
+    ) {
+        let mut stream = stream.into_iter().peekable();
         loop {
-            // Peek for the horizon check without consuming.
-            let next_at = loop {
-                match self.agenda.peek().map(|e| (e.at, e.id)) {
-                    Some((at, id)) => {
-                        if self.id_live(id) {
-                            break Some(at);
-                        }
-                        self.agenda.pop(); // cancelled; drop the stale entry
-                        self.stale -= 1;
-                    }
-                    None => break None,
-                }
+            let agenda_at = self.peek_live();
+            let (at, streamed) = match (stream.peek().map(|&(at, _)| at), agenda_at) {
+                (Some(at), Some(next)) if at <= next => (at, true),
+                (Some(at), None) => (at, true),
+                (_, Some(next)) => (next, false),
+                (None, None) => return,
             };
-            match next_at {
-                Some(at) if at <= horizon => {
-                    let (at, payload) = self.next().expect("peeked event exists");
-                    handler(self, at, payload);
-                }
-                _ => return,
+            if horizon.is_some_and(|h| at > h) {
+                return;
             }
+            let (at, payload) = if streamed {
+                assert!(
+                    at >= self.now,
+                    "event stream went backwards ({at} < {})",
+                    self.now
+                );
+                let (at, payload) = stream.next().expect("peeked stream event exists");
+                self.now = at;
+                self.stats.scheduled += 1;
+                self.stats.fired += 1;
+                (at, payload)
+            } else {
+                self.next().expect("peeked event exists")
+            };
+            handler(self, at, payload);
         }
     }
 }
@@ -581,7 +634,161 @@ mod tests {
         eng.schedule_at(Ticks(3), ());
     }
 
+    /// A handler that logs every event and churns the agenda: an even
+    /// payload schedules a follow-up at its own tick or later (up to 200
+    /// of them), and every fifth payload cancels the latest follow-up.
+    fn follow_ups<'a>(
+        log: &'a mut Vec<(u64, u64)>,
+        ids: &'a mut Vec<EventId>,
+    ) -> impl FnMut(&mut Engine<u64>, Ticks, u64) + 'a {
+        let mut next = 10_000u64;
+        move |eng, at, p| {
+            log.push((at.0, p));
+            if p % 2 == 0 && next < 10_200 {
+                ids.push(eng.schedule_at(at + TickDuration(p % 7), next));
+                next += 1;
+            }
+            if p % 5 == 0 {
+                if let Some(id) = ids.pop() {
+                    eng.cancel(id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_events_fire_before_agenda_entries_of_their_tick() {
+        let mut eng: Engine<&'static str> = Engine::new();
+        eng.schedule_at(Ticks(5), "agenda@5");
+        eng.schedule_at(Ticks(10), "agenda@10");
+        eng.schedule_at(Ticks(20), "agenda@20");
+        let stream = [(Ticks(10), "stream@10"), (Ticks(10), "stream@10b")];
+        let mut seen = Vec::new();
+        eng.run_with(stream, |eng, at, p| {
+            if p == "stream@10" {
+                // Scheduled at the current tick, after the stream's
+                // next event of the same tick.
+                eng.schedule_at(at, "handler@10");
+            }
+            seen.push(p);
+        });
+        assert_eq!(
+            seen,
+            [
+                "agenda@5",
+                "stream@10",
+                "stream@10b",
+                "agenda@10",
+                "handler@10",
+                "agenda@20"
+            ]
+        );
+        assert_eq!(eng.now(), Ticks(20));
+    }
+
+    #[test]
+    fn streamed_runs_skip_cancelled_entries() {
+        let mut eng: Engine<u8> = Engine::new();
+        let a = eng.schedule_at(Ticks(3), 1);
+        let b = eng.schedule_at(Ticks(8), 2);
+        eng.schedule_at(Ticks(9), 3);
+        assert!(eng.cancel(a));
+        let mut seen = Vec::new();
+        eng.run_with([(Ticks(4), 10), (Ticks(8), 11)], |eng, _, p| {
+            if p == 10 {
+                assert!(eng.cancel(b));
+            }
+            seen.push(p);
+        });
+        assert_eq!(seen, [10, 11, 3]);
+        let s = eng.stats();
+        assert_eq!((s.scheduled, s.fired, s.cancelled), (5, 3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "went backwards")]
+    fn a_stream_that_goes_backwards_panics() {
+        let mut eng: Engine<()> = Engine::new();
+        eng.run_with([(Ticks(5), ()), (Ticks(3), ())], |_, _, ()| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "went backwards")]
+    fn a_stream_behind_the_agenda_clock_panics() {
+        let mut eng: Engine<()> = Engine::new();
+        eng.schedule_at(Ticks(7), ());
+        let _ = eng.next();
+        eng.run_with([(Ticks(6), ())], |_, _, ()| {});
+    }
+
+    #[test]
+    fn streamed_events_count_as_scheduled_and_fired_but_not_as_agenda() {
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule_at(Ticks(50), 7);
+        let stream = (1..=100u32).map(|i| (Ticks(u64::from(i)), i));
+        let mut fired = 0u64;
+        eng.run_with(stream, |eng, at, p| {
+            fired += 1;
+            let s = eng.stats();
+            assert_eq!(
+                s.scheduled,
+                s.fired + s.cancelled + eng.pending() as u64,
+                "conservation at tick {at}"
+            );
+            if p % 25 == 0 {
+                let id = eng.schedule_at(at + TickDuration(1_000), p + 1);
+                if p % 50 == 0 {
+                    assert!(eng.cancel(id));
+                }
+            }
+        });
+        let s = eng.stats();
+        // 100 streamed, 1 pre-scheduled, 4 from the handler (2 cancelled).
+        assert_eq!((s.scheduled, s.fired, s.cancelled), (105, 103, 2));
+        assert_eq!(fired, 103);
+        assert_eq!(eng.pending(), 0);
+        // The agenda held the pre-scheduled event and, at most, the four
+        // the handler scheduled: never a streamed one.
+        assert!(s.peak_agenda <= 5, "peak agenda {}", s.peak_agenda);
+    }
+
     proptest! {
+        /// A streamed run fires exactly what pre-scheduling the stream
+        /// ahead of everything else fires, in the same order, with the
+        /// same scheduled/fired/cancelled counts: the stream is the
+        /// agenda's ordering, without the agenda.
+        #[test]
+        fn streaming_matches_pre_scheduling(
+            stream_ticks in proptest::collection::vec(0u64..300, 0..60),
+            agenda_ticks in proptest::collection::vec(0u64..300, 0..30),
+        ) {
+            let mut stream_ticks = stream_ticks;
+            stream_ticks.sort_unstable();
+            let (mut pre_log, mut pre_ids) = (Vec::new(), Vec::new());
+            let mut pre: Engine<u64> = Engine::new();
+            for (i, &t) in stream_ticks.iter().enumerate() {
+                pre.schedule_at(Ticks(t), i as u64);
+            }
+            for (i, &t) in agenda_ticks.iter().enumerate() {
+                pre.schedule_at(Ticks(t), 1000 + i as u64);
+            }
+            pre.run(follow_ups(&mut pre_log, &mut pre_ids));
+
+            let (mut log, mut ids) = (Vec::new(), Vec::new());
+            let mut eng: Engine<u64> = Engine::new();
+            for (i, &t) in agenda_ticks.iter().enumerate() {
+                eng.schedule_at(Ticks(t), 1000 + i as u64);
+            }
+            let stream = stream_ticks.iter().enumerate().map(|(i, &t)| (Ticks(t), i as u64));
+            eng.run_with(stream, follow_ups(&mut log, &mut ids));
+
+            prop_assert_eq!(log, pre_log);
+            let (a, b) = (eng.stats(), pre.stats());
+            prop_assert_eq!((a.scheduled, a.fired, a.cancelled), (b.scheduled, b.fired, b.cancelled));
+            prop_assert!(a.peak_agenda <= b.peak_agenda);
+            prop_assert_eq!(eng.now(), pre.now());
+        }
+
         /// Events always replay in non-decreasing time order with FIFO
         /// tie-breaking, whatever the insertion order.
         #[test]

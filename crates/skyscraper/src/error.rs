@@ -49,6 +49,14 @@ pub enum SchemeError {
         /// Supported maximum.
         max: usize,
     },
+    /// A request named a title outside the server's catalog.
+    UnknownTitle {
+        /// The title the request named.
+        title: usize,
+        /// How many titles the server carries (valid ids are
+        /// `0..titles`).
+        titles: usize,
+    },
     /// Two metric snapshots of one run could not be merged: the same
     /// family or series carried two instrument kinds or histogram shapes.
     MetricMerge {
@@ -90,6 +98,10 @@ impl fmt::Display for SchemeError {
                     "{requested} segments requested, implementation supports {max}"
                 )
             }
+            SchemeError::UnknownTitle { title, titles } => write!(
+                f,
+                "a request names title {title}, but the server carries titles 0..{titles}"
+            ),
             SchemeError::MetricMerge { what } => write!(f, "metric merge failed: {what}"),
         }
     }
