@@ -5,6 +5,9 @@
 //!    checkpoints produces the exact bytes of an uninterrupted
 //!    `SystemSim::execute`, for every `shards {1,2,4} × threads {1,2,4}`
 //!    combination.
+//!    The same holds over an unsorted stream whose equal arrival ticks
+//!    fall on different shards, so each shard's sweep order and the
+//!    merge's tie-break by slice index both matter.
 //! 2. **Corruption fallback** — a corrupted latest checkpoint is
 //!    rejected by its checksum and the shard falls back to the previous
 //!    one, still landing on identical bytes.
@@ -22,7 +25,7 @@ use sb_core::Skyscraper;
 use sb_resilience::{Backoff, CrashScript, Recovered, RunSpec, Supervisor};
 use sb_sim::policy::ClientPolicy;
 use sb_sim::system::{Request, SystemSim};
-use sb_sim::{RunConfig, RunOutcome};
+use sb_sim::{owning_shard, plan_shards, RunConfig, RunOutcome};
 
 fn lineup() -> (SystemConfig, sb_core::plan::ChannelPlan, Vec<Request>) {
     let cfg = SystemConfig::paper_defaults(Mbps(300.0));
@@ -88,6 +91,62 @@ fn supervised_chaos_is_bitwise_identical_to_uninterrupted_execute() {
             assert!(stats.restores >= 1, "kills at ckpt 1 resume from it");
             assert!(stats.checkpoints_taken > 0);
             assert!(stats.recovery_delay.value() > 0.0, "delays are modeled");
+        }
+    }
+}
+
+#[test]
+fn supervised_chaos_over_unsorted_tied_arrivals_matches_execute() {
+    // Reversed, then re-timed onto 48 half-minute marks: the stream is
+    // out of order and every mark carries five requests of different
+    // videos.
+    let (cfg, plan, mut requests) = lineup();
+    requests.reverse();
+    for (i, r) in requests.iter_mut().enumerate() {
+        r.at = Minutes((i * 7 % 48) as f64 * 0.5);
+    }
+    let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
+    let base = sim.execute(RunConfig::new(&requests)).unwrap();
+    let cadence = 10;
+    let supervisor = Supervisor::new(backoff(), cadence).unwrap();
+    for shards in [2usize, 4] {
+        let owner = |r: &Request| owning_shard(r.video.0, shards, 0, None);
+        assert!(
+            requests.iter().enumerate().any(|(i, a)| requests[i + 1..]
+                .iter()
+                .any(|b| a.at == b.at && owner(a) != owner(b))),
+            "S={shards}: some equal arrival ticks fall on different shards"
+        );
+        // Every shard is killed at its first checkpoint, and shard 0
+        // again at tick 60000 (minute 10), past that checkpoint.
+        let mut items: Vec<String> = (0..shards).map(|s| format!("kill:{s}@ckpt:1")).collect();
+        items.push("kill:0@tick:60000".to_string());
+        let chaos = CrashScript::parse(&items.join(";")).unwrap();
+        let checkpointed = plan_shards(&requests, shards, 0, None)
+            .iter()
+            .filter(|slice| slice.len() as u64 >= cadence)
+            .count();
+        for threads in [1usize, 2] {
+            let spec = RunSpec {
+                shards,
+                threads,
+                ..RunSpec::default()
+            };
+            let recovered = supervisor.run(&sim, &requests, &spec, &chaos).unwrap();
+            let Recovered::Complete { outcome, stats } = recovered else {
+                panic!("S={shards} T={threads}: expected a complete run");
+            };
+            assert_eq!(
+                outcome_bytes(&base),
+                outcome_bytes(&outcome),
+                "S={shards} T={threads}: supervised bytes diverged"
+            );
+            assert_eq!(
+                stats.crashes_injected,
+                checkpointed as u64 + 1,
+                "S={shards} T={threads}: each checkpoint kill and the tick kill fire once"
+            );
+            assert!(stats.restores >= 1, "kills at ckpt 1 resume from it");
         }
     }
 }

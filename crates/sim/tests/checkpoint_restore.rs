@@ -400,3 +400,39 @@ fn forged_scalar_rows_are_rejected_as_corrupt() {
         .run_shard(&slices[0], AgendaKind::Heap, 10, Some(&bytes), &mut quiet)
         .is_ok());
 }
+
+/// A checkpoint belongs to the shard that took it: shard 0's first
+/// checkpoint, resumed through `run_shard` on shard 1 of the same plan,
+/// is refused before anything runs.
+#[test]
+fn a_checkpoint_resumed_on_another_shard_is_refused() {
+    let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    let plan = Skyscraper::with_width(Width::Capped(52))
+        .plan(&cfg)
+        .unwrap();
+    let requests = requests_for(&plan, 100, 45.0);
+    let sim = SystemSim::new(&plan, cfg.display_rate, ClientPolicy::LatestFeasible);
+    let slices = plan_shards(&requests, 2, 0, None);
+    assert!(slices.iter().all(|slice| slice.len() >= 10));
+    let mut captured = None;
+    let mut probe = |p: Probe<'_>| match p {
+        Probe::Checkpoint { encoded, .. } => {
+            captured = Some(encoded.to_vec());
+            Verdict::Kill
+        }
+        Probe::Event { .. } => Verdict::Continue,
+    };
+    let first = sim.run_shard(&slices[0], AgendaKind::Heap, 10, None, &mut probe);
+    assert!(matches!(first, Err(ShardCrash::Killed(_))));
+    let bytes = captured.expect("shard 0's first checkpoint was captured");
+    let mut quiet = |_: Probe<'_>| Verdict::Continue;
+    match sim.run_shard(&slices[1], AgendaKind::Heap, 10, Some(&bytes), &mut quiet) {
+        Err(ShardCrash::Corrupt(CheckpointError::Malformed(_))) => {}
+        Err(e) => panic!("wrong rejection {e}"),
+        Ok(_) => panic!("shard 0's checkpoint resumed shard 1"),
+    }
+    // On its own shard the same bytes resume.
+    assert!(sim
+        .run_shard(&slices[0], AgendaKind::Heap, 10, Some(&bytes), &mut quiet)
+        .is_ok());
+}
