@@ -30,8 +30,8 @@ use vod_units::Minutes;
 
 use sb_sim::policy::PolicyError;
 use sb_sim::{
-    merge_shard_runs, parallel_map, plan_shards, AgendaKind, Probe, Request, RunOutcome,
-    ShardCrash, ShardRun, ShardSlice, SystemSim, Verdict,
+    merge_shard_runs, parallel_map, AgendaKind, Probe, Request, RunOutcome, ShardCrash, ShardRun,
+    ShardSlice, SystemSim, Verdict,
 };
 
 use crate::backoff::Backoff;
@@ -415,7 +415,7 @@ impl Supervisor {
     /// Execute `requests` against `sim` under supervision.
     ///
     /// Partitions exactly like `SystemSim::execute` (same
-    /// `plan_shards`), runs each shard through the kill/checkpoint/
+    /// `ShardSlice::plan`), runs each shard through the kill/checkpoint/
     /// restore attempt loop on the deterministic pool, and merges with
     /// the same ordered replay — so with every shard completing, the
     /// outcome is **bitwise identical** to an uninterrupted `execute`
@@ -425,7 +425,8 @@ impl Supervisor {
     /// # Errors
     /// [`RecoveryError::UnknownShard`] if `chaos` targets a shard the
     /// run does not have; [`RecoveryError::Sim`] for deterministic
-    /// simulation or merge failures (restarts cannot help those).
+    /// simulation or merge failures (restarts cannot help those) and
+    /// for a slice longer than a `u32` index reaches.
     pub fn run(
         &self,
         sim: &SystemSim<'_>,
@@ -434,7 +435,8 @@ impl Supervisor {
         chaos: &CrashScript,
     ) -> Result<Recovered, RecoveryError> {
         chaos.validate(spec.shards)?;
-        let slices = plan_shards(requests, spec.shards, spec.seed, spec.partition);
+        let slices = ShardSlice::plan(requests, spec.shards, spec.seed, spec.partition)
+            .map_err(RecoveryError::Sim)?;
         let script: Vec<Vec<CrashTrigger>> = (0..spec.shards)
             .map(|s| {
                 chaos
@@ -446,7 +448,7 @@ impl Supervisor {
             })
             .collect();
 
-        let work: Vec<(usize, &ShardSlice)> = slices.iter().enumerate().collect();
+        let work: Vec<(usize, &ShardSlice<'_>)> = slices.iter().enumerate().collect();
         let verdicts: Vec<ShardVerdict> =
             parallel_map(spec.threads, LABEL, &work, |_, &(s, slice)| {
                 self.run_one_shard(sim, s, slice, &script[s])
@@ -486,7 +488,7 @@ impl Supervisor {
         &self,
         sim: &SystemSim<'_>,
         shard: usize,
-        slice: &ShardSlice,
+        slice: &ShardSlice<'_>,
         triggers: &[CrashTrigger],
     ) -> ShardVerdict {
         let mut stats = RecoveryStats::default();

@@ -2,10 +2,12 @@
 //!
 //! A checkpoint is a complete still image of one shard's mid-run state,
 //! each fact stored once: the peak active-session count, the captured
-//! per-session scalars the merge folds, and the metrics registry
-//! snapshot. Everything else is derived from the scalars on resume: the
-//! sweep's cursor is their count, and the sessions still playing are
-//! those whose end tick is at or after the last served arrival tick.
+//! per-session scalars the merge folds (each keyed by its request's
+//! index in the caller's slice, so a checkpoint fits only the shard
+//! whose route served them), and the metrics registry snapshot.
+//! Everything else is derived from the scalars on resume: the sweep's
+//! cursor is their count, and the sessions still playing are those
+//! whose end tick is at or after the last served arrival tick.
 //! Restoring one and running to completion produces **bitwise
 //! identical** artifacts to the uninterrupted run, because every value
 //! resumes with its exact bit pattern and the sweep serves the remaining
@@ -42,10 +44,10 @@ use sb_metrics::{
 use crate::agenda::AgendaKind;
 use crate::policy::PolicyError;
 use crate::shard::{SessionScalars, ShardSlice};
-use crate::system::{ActiveSweep, Checkpoints, Keep, Sweep, SweepOrder, SystemSim};
+use crate::system::{ActiveSweep, Checkpoints, Keep, Sweep, SystemSim};
 
 /// Format version written (and the only one accepted) by this build.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// Header magic.
 const MAGIC: &str = "SBCKPT";
@@ -196,7 +198,7 @@ impl std::error::Error for ShardCrash {}
 
 /// One shard's completed results, ready for [`crate::shard::merge_shard_runs`].
 ///
-/// Opaque by design: the scalars inside are keyed by global request
+/// Opaque by design: the scalars inside are keyed by the caller's slice
 /// index and must only be recombined by the canonical ordered-replay
 /// merge.
 pub struct ShardRun {
@@ -242,7 +244,7 @@ impl SystemSim<'_> {
     /// that cadence before any shard runs.
     pub fn run_shard(
         &self,
-        slice: &ShardSlice,
+        slice: &ShardSlice<'_>,
         _agenda: AgendaKind,
         checkpoint_every: u64,
         resume: Option<&[u8]>,
@@ -253,15 +255,14 @@ impl SystemSim<'_> {
             every: checkpoint_every,
             probe,
         };
-        let requests = slice.requests();
         let index = self.plan_index();
         let (mut sweep, mut scalars) = match resume {
             Some(bytes) => decode_state(bytes)
-                .and_then(|cp| Sweep::resume(self, &index, requests, cp))
+                .and_then(|cp| Sweep::resume(self, &index, slice, cp))
                 .map_err(ShardCrash::Corrupt)?,
             None => (
-                Sweep::new(self, &index, requests),
-                Vec::with_capacity(requests.len()),
+                Sweep::new(self, &index, slice),
+                Vec::with_capacity(slice.len()),
             ),
         };
         sweep.serve_until(
@@ -270,10 +271,6 @@ impl SystemSim<'_> {
             Some(&mut checkpoints),
         )?;
         let end = sweep.finish(Some(&mut checkpoints))?;
-        // The merge keys sessions by their index in the global slice.
-        for sc in &mut scalars {
-            sc.idx = slice.global_idx()[sc.idx];
-        }
         Ok(ShardRun {
             scalars,
             snapshot: end.snapshot,
@@ -283,33 +280,34 @@ impl SystemSim<'_> {
 }
 
 impl CheckpointState {
-    /// Check this checkpoint against the slice it is about to resume and
-    /// rebuild the sweep's active sessions from it. The scalars must be
-    /// the slice's first requests in sweep order, each at its own arrival
-    /// tick, and the peak must cover the sessions still playing. A
-    /// checksum only proves the bytes are the ones written; this proves
-    /// they can drive this shard without indexing out of range or
-    /// resuming a sweep that never happened.
+    /// Check this checkpoint against the shard it is about to resume
+    /// and rebuild the sweep's active sessions from it. The scalars must
+    /// be the first requests of the shard's route, each keyed by its
+    /// index in the caller's slice and at its own arrival tick, and the
+    /// peak must cover the sessions still playing. A checksum only
+    /// proves the bytes are the ones written; this proves they can
+    /// drive this shard without indexing out of range or resuming a
+    /// sweep that never happened, on this shard or another.
     pub(crate) fn check_fits(
         &self,
-        order: &SweepOrder<'_>,
+        slice: &ShardSlice<'_>,
     ) -> Result<ActiveSweep, CheckpointError> {
-        if self.scalars.len() > order.len() {
+        if self.scalars.len() > slice.len() {
             return malformed(format!(
-                "scalars: {} sessions served from a slice of {} requests",
+                "scalars: {} sessions served from a route of {} requests",
                 self.scalars.len(),
-                order.len()
+                slice.len()
             ));
         }
         for (cursor, sc) in self.scalars.iter().enumerate() {
-            let pos = order.pos(cursor);
-            if (sc.idx, sc.tick) != (pos, order.tick(pos)) {
+            let pos = slice.pos(cursor);
+            if (sc.idx, sc.tick) != (pos, slice.tick(pos)) {
                 return malformed(format!(
-                    "scalar.idx: session {cursor} is request {} at tick {}, but the sweep \
-                     serves request {pos} at tick {} there",
+                    "scalar.idx: session {cursor} is slice request {} at tick {}, but the \
+                     route serves slice request {pos} at tick {} there",
                     sc.idx,
                     sc.tick,
-                    order.tick(pos)
+                    slice.tick(pos)
                 ));
             }
         }
@@ -319,7 +317,7 @@ impl CheckpointState {
         let mut served: BTreeMap<String, u64> = BTreeMap::new();
         for sc in &self.scalars {
             *served
-                .entry(format!("video={}", order.video(sc.idx).0))
+                .entry(format!("video={}", slice.requests[sc.idx].video.0))
                 .or_default() += 1;
         }
         for name in [
@@ -796,7 +794,7 @@ mod tests {
             Err(CheckpointError::BadHeader(_))
         ));
         // A past or future version → unsupported.
-        for (digit, version) in [(b'1', 1), (b'2', 2), (b'9', 9)] {
+        for (digit, version) in [(b'1', 1), (b'2', 2), (b'3', 3), (b'9', 9)] {
             let mut other = bytes.clone();
             other[7] = digit;
             assert_eq!(

@@ -107,7 +107,7 @@ pub use pool::parallel_map;
 pub use receive_all::{record_all, RecordingSchedule};
 pub use run::{RunConfig, RunOutcome, RunParts};
 pub use schedule::{ClientSchedule, Download, JitterViolation};
-pub use shard::{merge_shard_runs, owning_shard, plan_shards, shard_of, ShardSlice};
+pub use shard::{merge_shard_runs, owning_shard, plan_shards, route, shard_of, ShardSlice};
 pub use sink::{CollectTraces, FoldState, NullSink, SessionSummary, StreamingFold, TraceSink};
 pub use system::{Request, SystemReport, SystemSim};
 pub use trace::{

@@ -65,6 +65,9 @@ pub enum PolicyError {
         /// What was inconsistent.
         what: String,
     },
+    /// A run's request slice is longer than the `u32` index a shard's
+    /// route holds per request reaches; carries the slice's length.
+    TooManyRequests(usize),
 }
 
 impl core::fmt::Display for PolicyError {
@@ -77,6 +80,9 @@ impl core::fmt::Display for PolicyError {
             }
             PolicyError::ShardMerge { shard, label, what } => {
                 write!(f, "shard {shard} ({label}): merge failed: {what}")
+            }
+            PolicyError::TooManyRequests(n) => {
+                write!(f, "{n} requests are more than a u32 index reaches")
             }
         }
     }

@@ -48,7 +48,7 @@ use std::borrow::Cow;
 
 use sb_metrics::{MetricKind, MetricOp, Registry, SeriesId, Snapshot};
 use serde::{Deserialize, Serialize};
-use vod_units::{Mbits, Mbps, Minutes, TickScale, Ticks};
+use vod_units::{Mbits, Mbps, Minutes};
 
 use sb_core::plan::{ChannelPlan, PlanIndex, VideoId};
 
@@ -58,7 +58,7 @@ use crate::checkpoint::{
 };
 use crate::engine::EngineStats;
 use crate::policy::PolicyError;
-use crate::shard::SessionScalars;
+use crate::shard::{tick_at, SessionScalars, ShardSlice};
 use crate::sink::{SessionSummary, StreamingFold, TraceSink};
 use crate::trace::{ClientModel, Reception, SessionTrace};
 
@@ -155,51 +155,6 @@ impl ActiveSweep {
     /// The largest number of sessions active at once so far.
     pub(crate) fn peak(&self) -> usize {
         self.peak
-    }
-}
-
-/// A request slice in sweep order: by arrival tick, ties by slice index.
-/// A slice whose ticks are already non-decreasing is walked as is;
-/// anything else gets one stable index sort up front.
-pub(crate) struct SweepOrder<'r> {
-    requests: &'r [Request],
-    scale: TickScale,
-    sorted: Option<Vec<usize>>,
-}
-
-impl<'r> SweepOrder<'r> {
-    pub(crate) fn new(requests: &'r [Request], scale: TickScale) -> Self {
-        let mut order = Self {
-            requests,
-            scale,
-            sorted: None,
-        };
-        if (1..requests.len()).any(|i| order.tick(i - 1) > order.tick(i)) {
-            let mut sorted: Vec<usize> = (0..requests.len()).collect();
-            sorted.sort_by_key(|&pos| order.tick(pos));
-            order.sorted = Some(sorted);
-        }
-        order
-    }
-
-    /// Number of requests.
-    pub(crate) fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// The slice index of the request served `cursor`-th.
-    pub(crate) fn pos(&self, cursor: usize) -> usize {
-        self.sorted.as_ref().map_or(cursor, |sorted| sorted[cursor])
-    }
-
-    /// The video the request at slice index `pos` asks for.
-    pub(crate) fn video(&self, pos: usize) -> VideoId {
-        self.requests[pos].video
-    }
-
-    /// The arrival tick of the request at slice index `pos`.
-    pub(crate) fn tick(&self, pos: usize) -> u64 {
-        (Ticks::ZERO + self.scale.duration_from_minutes(self.requests[pos].at)).0
     }
 }
 
@@ -347,8 +302,8 @@ struct Held {
     sc: SessionScalars,
 }
 
-/// One request slice's ordered sweep, resumable between steps: the
-/// [`SweepOrder`] cursor, the [`ActiveSweep`], the registry's handles,
+/// One shard's ordered sweep, resumable between steps: the cursor on
+/// its route, the [`ActiveSweep`], the registry's handles,
 /// the checkpoint count and, per video, the last session served. Every
 /// execution path runs one: the serial run and a supervised shard step
 /// it once to the end; a sharded `execute` steps each shard's window by
@@ -359,8 +314,7 @@ struct Held {
 /// scalars captured and so one step to the end.
 pub(crate) struct Sweep<'s> {
     sim: &'s SystemSim<'s>,
-    requests: &'s [Request],
-    order: SweepOrder<'s>,
+    slice: &'s ShardSlice<'s>,
     index: &'s PlanIndex<'s>,
     cursor: usize,
     active: ActiveSweep,
@@ -372,18 +326,17 @@ pub(crate) struct Sweep<'s> {
 }
 
 impl<'s> Sweep<'s> {
-    /// A sweep over `requests` from the start, scheduling sessions
-    /// against `index`, the index of `sim`'s plan (which the shards of
-    /// one run share).
+    /// A sweep along `slice`'s route from the start, scheduling
+    /// sessions against `index`, the index of `sim`'s plan (which the
+    /// shards of one run share).
     pub(crate) fn new(
         sim: &'s SystemSim<'s>,
         index: &'s PlanIndex<'s>,
-        requests: &'s [Request],
+        slice: &'s ShardSlice<'s>,
     ) -> Self {
         Self {
             sim,
-            requests,
-            order: SweepOrder::new(requests, sim.scale),
+            slice,
             index,
             cursor: 0,
             active: ActiveSweep::default(),
@@ -394,16 +347,16 @@ impl<'s> Sweep<'s> {
         }
     }
 
-    /// A sweep over `requests` resumed from checkpoint `cp`, with the
-    /// scalars it had captured, once `cp` is checked to fit them.
+    /// A sweep along `slice`'s route resumed from checkpoint `cp`, with
+    /// the scalars it had captured, once `cp` is checked to fit them.
     pub(crate) fn resume(
         sim: &'s SystemSim<'s>,
         index: &'s PlanIndex<'s>,
-        requests: &'s [Request],
+        slice: &'s ShardSlice<'s>,
         cp: CheckpointState,
     ) -> Result<(Self, Vec<SessionScalars>), CheckpointError> {
-        let mut sweep = Self::new(sim, index, requests);
-        sweep.active = cp.check_fits(&sweep.order)?;
+        let mut sweep = Self::new(sim, index, slice);
+        sweep.active = cp.check_fits(slice)?;
         sweep.taps = Taps::new(Registry::from_snapshot(&cp.snapshot));
         sweep.cursor = cp.scalars.len();
         Ok((sweep, cp.scalars))
@@ -423,9 +376,9 @@ impl<'s> Sweep<'s> {
         mut keep: Keep<'_>,
         mut checkpoints: Option<&mut Checkpoints<'_>>,
     ) -> Result<(), ShardCrash> {
-        while self.cursor < self.order.len() {
-            let pos = self.order.pos(self.cursor);
-            let tick = self.order.tick(pos);
+        while self.cursor < self.slice.len() {
+            let pos = self.slice.pos(self.cursor);
+            let tick = self.slice.tick(pos);
             if until.is_some_and(|bound| (tick, pos) >= bound) {
                 break;
             }
@@ -439,7 +392,7 @@ impl<'s> Sweep<'s> {
                 .serve(
                     tick,
                     pos,
-                    self.requests[pos],
+                    self.slice.requests[pos],
                     self.index,
                     &mut self.held,
                     &mut self.events,
@@ -490,13 +443,13 @@ impl<'s> Sweep<'s> {
     ) -> Result<SweepEnd, ShardCrash> {
         debug_assert_eq!(
             self.cursor,
-            self.order.len(),
+            self.slice.len(),
             "finish after the last arrival"
         );
         while let Some(end) = self.active.pop_end(None) {
-            probe_event(&mut checkpoints, end, self.order.len(), self.taken)?;
+            probe_event(&mut checkpoints, end, self.slice.len(), self.taken)?;
         }
-        let stats = sweep_stats(&[self.order.len()]);
+        let stats = sweep_stats(&[self.slice.len()]);
         let peak = self.active.peak();
         let mut reg = self.taps.reg;
         reg.gauge_max("sim_peak_active_sessions", &[], peak as f64);
@@ -520,7 +473,6 @@ pub struct SystemSim<'a> {
     plan: &'a ChannelPlan,
     display_rate: Mbps,
     model: Box<dyn ClientModel + 'a>,
-    pub(crate) scale: TickScale,
 }
 
 impl<'a> SystemSim<'a> {
@@ -532,7 +484,6 @@ impl<'a> SystemSim<'a> {
             plan,
             display_rate,
             model: Box::new(model),
-            scale: TickScale::default(),
         }
     }
 
@@ -542,19 +493,12 @@ impl<'a> SystemSim<'a> {
         self.plan.index()
     }
 
-    /// Use a non-default tick resolution.
-    #[must_use]
-    pub fn with_scale(mut self, scale: TickScale) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Serve request `r` (slice index `pos`) arriving at `tick` — the
-    /// exact per-session statements (and float order) every execution
-    /// path shares; bitwise identity between serial, sharded and
-    /// checkpoint-resumed runs rests on this being the *only* copy of
-    /// them. Derives the session's scalars once, records them into
-    /// `taps`, and returns them with the trace.
+    /// Serve request `r` (the caller's slice index `pos`) arriving at
+    /// `tick` — the exact per-session statements (and float order)
+    /// every execution path shares; bitwise identity between serial,
+    /// sharded and checkpoint-resumed runs rests on this being the
+    /// *only* copy of them. Derives the session's scalars once, records
+    /// them into `taps`, and returns them with the trace.
     ///
     /// `events` is the sweep's scratch for a fresh session's rate-change
     /// list. `held` is the sweep's last session per video. When the model
@@ -601,7 +545,7 @@ impl<'a> SystemSim<'a> {
                 let sc = SessionScalars {
                     tick,
                     idx: pos,
-                    end_tick: (Ticks::ZERO + self.scale.duration_from_minutes(end)).0,
+                    end_tick: tick_at(end).0,
                     latency: s.startup_latency().value(),
                     peak_buffer: peak_buffer.value(),
                     total_received: s.total_received().value(),
