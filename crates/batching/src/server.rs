@@ -8,7 +8,6 @@
 //! before service starts — the behaviour §1 says bounded-latency broadcast
 //! improves.
 
-use sb_metrics::{NullRecorder, Recorder};
 use sb_sim::MinQueue;
 use serde::{Deserialize, Serialize};
 use vod_units::Minutes;
@@ -111,31 +110,6 @@ impl BatchingServer {
     /// is unsorted.
     #[must_use]
     pub fn run(&self, catalog: &Catalog, requests: &[WorkloadRequest]) -> ServiceReport {
-        self.run_recorded(catalog, requests, &mut NullRecorder)
-    }
-
-    /// [`BatchingServer::run`], additionally streaming per-video service
-    /// and defection series into `rec`:
-    ///
-    /// * `batch_served_total{video}` / `batch_reneged_total{video}` —
-    ///   outcomes (counters);
-    /// * `batch_wait_minutes{video}` — waits of served viewers
-    ///   (histogram);
-    /// * `pool_streams_total` — multicast streams started (counter);
-    /// * `pool_peak_busy_channels` — channel-pool high-water mark (gauge).
-    ///
-    /// The returned report is identical to [`BatchingServer::run`]'s: the
-    /// recorder observes the run, it never steers it.
-    ///
-    /// # Panics
-    /// As [`BatchingServer::run`].
-    #[must_use]
-    pub fn run_recorded(
-        &self,
-        catalog: &Catalog,
-        requests: &[WorkloadRequest],
-        rec: &mut dyn Recorder,
-    ) -> ServiceReport {
         for w in requests.windows(2) {
             assert!(w[0].at <= w[1].at, "request stream must be sorted");
         }
@@ -195,7 +169,6 @@ impl BatchingServer {
         };
 
         let mut i = 0usize;
-        let mut peak_busy = 0usize;
         loop {
             let next_arrival = requests.get(i).map(|r| r.at.value());
             let next_completion = busy.peek().map(|&T(t)| t);
@@ -217,7 +190,6 @@ impl BatchingServer {
                     unreachable!("arrival-first guard admits every no-completion case")
                 }
             }
-            peak_busy = peak_busy.max(self.channels - free);
         }
 
         // Whoever is still queued at the end reneges at their deadline
@@ -234,19 +206,6 @@ impl BatchingServer {
             .into_iter()
             .map(|o| o.expect("every request resolved"))
             .collect();
-        for (r, o) in requests.iter().zip(&outcomes) {
-            let video = r.video.to_string();
-            let vl: &[(&str, &str)] = &[("video", &video)];
-            match o {
-                ServiceOutcome::Served { at } => {
-                    rec.incr("batch_served_total", vl, 1);
-                    rec.observe("batch_wait_minutes", vl, at.value() - r.at.value());
-                }
-                ServiceOutcome::Reneged { .. } => rec.incr("batch_reneged_total", vl, 1),
-            }
-        }
-        rec.incr("pool_streams_total", &[], streams as u64);
-        rec.gauge_max("pool_peak_busy_channels", &[], peak_busy as f64);
         let reneged = outcomes
             .iter()
             .filter(|o| matches!(o, ServiceOutcome::Reneged { .. }))
@@ -341,35 +300,6 @@ mod tests {
             ServiceOutcome::Served { at: Minutes(120.0) }
         );
         assert!((report.renege_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recorded_run_matches_bare_run_and_fills_registry() {
-        let catalog = Catalog::paper_defaults(10);
-        let z = ZipfPopularity::paper(10);
-        let reqs = PoissonArrivals::new(1.0, 7)
-            .with_patience(Patience::Fixed(Minutes(30.0)))
-            .generate(&z, Minutes(600.0));
-        let server = BatchingServer::new(4, BatchPolicy::Mql);
-        let bare = server.run(&catalog, &reqs);
-        let mut reg = sb_metrics::Registry::new();
-        let recorded = server.run_recorded(&catalog, &reqs, &mut reg);
-        assert_eq!(bare, recorded, "recording must not steer the run");
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.counter_total("batch_served_total") as usize,
-            bare.served
-        );
-        assert_eq!(
-            snap.counter_total("batch_reneged_total") as usize,
-            bare.reneged
-        );
-        assert_eq!(
-            snap.counter("pool_streams_total", "").unwrap() as usize,
-            bare.streams
-        );
-        let h = snap.histogram("batch_wait_minutes", "video=0").unwrap();
-        assert!(h.count > 0 && h.sum <= bare.worst_wait.value() * h.count as f64);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! The simulators record into a [`crate::Registry`] of their own and
 //! return its snapshot. The trait is for code that lets its caller
-//! choose the destination: the batching server's `run_recorded`, the
-//! degradation `replay` and the benchmark's layer replica take
-//! `&mut dyn Recorder`, so the same code runs bare (a [`NullRecorder`],
-//! zero cost) or instrumented (a registry). Keeping the trait object at
-//! the call boundary — rather than a generic — keeps every downstream
-//! signature monomorphic.
+//! choose the destination: the degradation `replay` and the benchmark's
+//! layer replica take `&mut dyn Recorder`, so the same code runs bare
+//! (a [`NullRecorder`], zero cost) or instrumented (a registry). Keeping
+//! the trait object at the call boundary — rather than a generic —
+//! keeps every downstream signature monomorphic.
 //!
 //! The trait has two required methods. [`Recorder::resolve`] turns a
 //! `(name, labels, kind)` series key into a [`SeriesId`], a dense index
