@@ -23,8 +23,9 @@ use vod_units::{Mbps, Minutes};
 const SESSIONS: usize = 50_000;
 
 /// The most the run's peak may exceed the resident set before it, per
-/// session. The per-session state a run must keep is a few words: the
-/// request, its shard slice entry and the fold's one latency.
+/// session. The per-session state a run must keep is a few words: its
+/// 4 B route entry and the fold's one latency. The requests are the
+/// caller's, borrowed, and allocated before the run.
 const MAX_BYTES_PER_SESSION: f64 = 256.0;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
