@@ -800,6 +800,37 @@ mod tests {
         }
     }
 
+    /// `k` in-order passes of `apply` over `list`, as a snapshot.
+    fn passes(list: &[f64], k: u64) -> Snapshot {
+        let mut r = Registry::new();
+        let id = r.resolve("busy", &[], MetricKind::Histogram);
+        for _ in 0..k {
+            for &v in list {
+                r.apply(id, MetricOp::Observe(v));
+            }
+        }
+        r.snapshot()
+    }
+
+    #[test]
+    fn repeated_observations_keep_their_interleaved_order() {
+        // Five passes over [0.1, 0.2] on one series: added in pass
+        // order, grouped by value and as `v * k`, the sum is three
+        // different floats, so only the pass order gives its bits.
+        let (list, k) = ([0.1, 0.2], 5);
+        let sum = |s: &Snapshot| s.histogram("busy", "").unwrap().sum.to_bits();
+        let in_order = passes(&list, k);
+        let by_value: Vec<f64> = list
+            .iter()
+            .flat_map(|&v| std::iter::repeat_n(v, k as usize))
+            .collect();
+        let grouped = passes(&by_value, 1);
+        let times = list.iter().fold(0.0, |acc, v| acc + v * k as f64);
+        assert_ne!(sum(&in_order), sum(&grouped));
+        assert_ne!(sum(&in_order), times.to_bits());
+        assert_ne!(sum(&grouped), times.to_bits());
+    }
+
     #[test]
     #[should_panic(expected = "applied to a series of another kind")]
     fn applying_the_wrong_kind_panics() {

@@ -12,6 +12,12 @@
 //! shards {1, 4} × threads {1, 2}, with and without a caller sink, the
 //! summary, fold, snapshot and the traces a `CollectTraces` sink
 //! receives must serialize to the same bytes.
+//!
+//! Two hand-built cases pin where a class's channel receptions are
+//! written: a plan whose channels each carry both of two videos, with
+//! the two videos' runs of shared sessions interleaved, and supervised
+//! shards killed at a checkpoint taken inside a run of shared sessions
+//! and resumed from its bytes.
 
 use proptest::prelude::*;
 use vod_units::{Mbits, Mbps, Minutes};
@@ -27,7 +33,9 @@ use sb_pyramid::{HarmonicBroadcasting, PermutationPyramid};
 use sb_sim::policy::{ClientPolicy, PolicyError};
 use sb_sim::system::{Request, SystemSim};
 use sb_sim::trace::{ClientModel, PausingClient, RecordingClient, SessionTrace};
-use sb_sim::{CollectTraces, RunConfig};
+use sb_sim::{
+    merge_shard_runs, plan_shards, AgendaKind, CollectTraces, Probe, RunConfig, ShardCrash, Verdict,
+};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -339,5 +347,204 @@ fn an_arrival_past_every_feasible_broadcast_is_not_shared() {
             assert_eq!(run(model, &reqs), run(&Unshared(model), &reqs));
         }
         assert_eq!(run(model, &[at(served), at(refused)]), alone);
+    }
+}
+
+/// A two-video plan in which every channel carries a segment of both
+/// videos, at 3 Mb/s: channel `s` cycles video 0's segment `s`, then
+/// video 1's. The sizes differ, so the two videos' receptions on one
+/// channel have different durations and the channel's busy-time sum
+/// depends on the order they are added in.
+fn mixed_plan() -> ChannelPlan {
+    let sizes = [[60.0, 90.0], [45.0, 75.0]];
+    let rate = 3.0;
+    let channels = (0..2)
+        .map(|segment| LogicalChannel {
+            id: segment,
+            rate: Mbps(rate),
+            phase: Minutes(0.0),
+            cycle: (0..2)
+                .map(|video| ScheduledSegment {
+                    item: BroadcastItem {
+                        video: VideoId(video),
+                        segment,
+                    },
+                    size: Mbits(sizes[video][segment]),
+                    on_air: Minutes(sizes[video][segment] / rate / 60.0),
+                })
+                .collect(),
+        })
+        .collect();
+    ChannelPlan {
+        scheme: "mixed".to_string(),
+        segment_sizes: sizes
+            .iter()
+            .map(|video| video.iter().map(|&size| Mbits(size)).collect())
+            .collect(),
+        channels,
+    }
+}
+
+/// The display rate the mixed plan is served at: slow enough that
+/// segment 1 always airs before a client needs it.
+const MIXED_DISPLAY: Mbps = Mbps(0.5);
+
+/// Arrivals of both videos in turn, every `step` minutes from `from`:
+/// each caught broadcast of segment 0 gets a run of several arrivals of
+/// its video, and the two videos' runs interleave.
+fn alternating(n: usize, from: f64, step: f64) -> Vec<Request> {
+    (0..n)
+        .map(|i| Request {
+            at: Minutes(from + step * i as f64),
+            video: VideoId(i % 2),
+        })
+        .collect()
+}
+
+/// Where one channel carries two videos, a class's channel receptions
+/// interleave with the other video's on that channel: the shared run
+/// must give the bytes of the unshared one, which records every session
+/// as it is served.
+#[test]
+fn a_channel_carrying_two_videos_keeps_their_interleaved_order() {
+    let plan = mixed_plan();
+    let index = plan.index();
+    let policy = ClientPolicy::LatestFeasible;
+    for (step, n) in [(0.05, 600), (0.013, 400), (0.21, 300)] {
+        let mut reqs = alternating(n, 0.02, step);
+        // Each video has runs of several arrivals on one caught broadcast.
+        for video in [VideoId(0), VideoId(1)] {
+            let starts: Vec<u64> = reqs
+                .iter()
+                .filter(|r| r.video == video)
+                .map(|r| caught(&index, video, r.at.value()).to_bits())
+                .collect();
+            let mut classes = starts.clone();
+            classes.dedup();
+            assert!(
+                classes.len() > 1 && classes.len() < starts.len(),
+                "step {step}: {} classes for {} arrivals of {video:?}",
+                classes.len(),
+                starts.len()
+            );
+        }
+        for order in ["sorted", "reversed"] {
+            if order == "reversed" {
+                reqs.reverse();
+            }
+            let shared = SystemSim::new(&plan, MIXED_DISPLAY, policy);
+            let unshared = SystemSim::new(&plan, MIXED_DISPLAY, Unshared(&policy));
+            for observed in [false, true] {
+                for shards in [1, 4] {
+                    let want = run_bytes(&unshared, &reqs, shards, 1, observed);
+                    for threads in [1, 2] {
+                        let got = run_bytes(&shared, &reqs, shards, threads, observed);
+                        assert_eq!(
+                            got, want,
+                            "step {step} {order}: S={shards} T={threads} observed={observed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One supervised run of `reqs` on `shards` shards: every shard is
+/// killed right after its checkpoint `kill` (taken every `cadence`
+/// sessions) and resumed from those bytes, and the completed shards are
+/// merged.
+fn killed_mid_run(
+    sim: &SystemSim<'_>,
+    reqs: &[Request],
+    shards: usize,
+    cadence: u64,
+    kill: u64,
+) -> Vec<String> {
+    let runs = plan_shards(reqs, shards, 0, None)
+        .iter()
+        .enumerate()
+        .map(|(s, slice)| {
+            let mut captured = None;
+            let mut probe = |p: Probe<'_>| match p {
+                Probe::Checkpoint { index, encoded } if index == kill => {
+                    captured = Some(encoded.to_vec());
+                    Verdict::Kill
+                }
+                _ => Verdict::Continue,
+            };
+            let first = sim.run_shard(slice, AgendaKind::Heap, cadence, None, &mut probe);
+            let run = match first {
+                Ok(run) => run,
+                Err(ShardCrash::Killed(_)) => {
+                    let bytes = captured.expect("killed at the checkpoint it captured");
+                    let mut quiet = |_: Probe<'_>| Verdict::Continue;
+                    sim.run_shard(slice, AgendaKind::Heap, cadence, Some(&bytes), &mut quiet)
+                        .expect("an intact checkpoint resumes")
+                }
+                Err(e) => panic!("shard {s}: {e}"),
+            };
+            (s, run)
+        })
+        .collect();
+    let out = merge_shard_runs(runs, "class-sharing").unwrap();
+    vec![json(&out.summary), json(&out.fold), json(&out.snapshot)]
+}
+
+/// A checkpoint taken while a class still has sessions to come, the
+/// shard killed right after it and resumed from its bytes: the resumed
+/// sweep holds no class, so the checkpoint must already carry every
+/// session the class served. The bytes are `execute`'s.
+#[test]
+fn a_shard_killed_inside_a_run_of_hits_resumes_to_execute_bytes() {
+    let cfg = SystemConfig::paper_defaults(Mbps(320.0));
+    let grid: Vec<Request> = (0..600)
+        .map(|i| Request {
+            at: Minutes(0.1 * f64::from(i)),
+            video: VideoId(0),
+        })
+        .collect();
+    let ppb = PermutationPyramid::b().plan(&cfg).unwrap();
+    let sim = SystemSim::new(&ppb, cfg.display_rate, PausingClient);
+    resumes_inside_runs_of_hits("pausing on PPB:b", &ppb, &sim, &grid);
+    let mixed = mixed_plan();
+    let sim = SystemSim::new(&mixed, MIXED_DISPLAY, ClientPolicy::LatestFeasible);
+    let reqs = alternating(400, 0.02, 0.05);
+    resumes_inside_runs_of_hits("latest-feasible on the mixed plan", &mixed, &sim, &reqs);
+}
+
+/// Supervised runs of `reqs` on `sim` (which serves `plan`) at shards
+/// {1, 2}, killed at each of the first four checkpoints of a cadence
+/// that falls inside runs of hits, give `execute`'s bytes.
+fn resumes_inside_runs_of_hits(
+    name: &str,
+    plan: &ChannelPlan,
+    sim: &SystemSim<'_>,
+    reqs: &[Request],
+) {
+    let cadence = 7;
+    let index = plan.index();
+    // The session served last before each checkpoint and the next
+    // arrival of its video catch the same broadcast: every kill falls
+    // inside a run of hits.
+    let class = |r: &Request| (r.video, caught(&index, r.video, r.at.value()).to_bits());
+    for kill in 1..=4 {
+        let last = &reqs[(cadence * kill) as usize - 1];
+        let next = reqs[(cadence * kill) as usize..]
+            .iter()
+            .find(|r| r.video == last.video)
+            .unwrap();
+        assert_eq!(class(last), class(next), "{name}: checkpoint {kill}");
+    }
+    for shards in [1, 2] {
+        let out = sim.execute(RunConfig::new(reqs).shards(shards)).unwrap();
+        let want = vec![json(&out.summary), json(&out.fold), json(&out.snapshot)];
+        for kill in 1..=4 {
+            assert_eq!(
+                killed_mid_run(sim, reqs, shards, cadence, kill),
+                want,
+                "{name}: S={shards} killed at checkpoint {kill}"
+            );
+        }
     }
 }
