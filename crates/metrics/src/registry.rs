@@ -58,13 +58,19 @@ impl HistogramValue {
 
     /// Record one observation.
     pub fn observe(&mut self, v: f64) {
+        self.observe_times(v, 1);
+    }
+
+    /// Count `v` in its bucket `times` times over and add it to the sum
+    /// once: the first of `times` observations of `v`.
+    fn observe_times(&mut self, v: f64, times: u64) {
         let idx = self
             .bounds
             .iter()
             .position(|&b| v <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
+        self.counts[idx] += times;
+        self.count += times;
         self.sum += v;
     }
 
@@ -246,6 +252,34 @@ impl Registry {
         slot.live = true;
     }
 
+    /// Observe each `(id, v)` of `observations`, in list order, `times`
+    /// times over: bit for bit what `times` passes of
+    /// `apply(id, MetricOp::Observe(v))` over the list give. Bucket counts
+    /// and `count` grow by `times` per entry in one step, but a float sum
+    /// depends on the order of its additions, so each series' `sum`
+    /// repeats its own additions pass after pass, in list order; it is
+    /// neither `v * times` nor grouped by value. `times == 0` applies
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if an `id` did not come from this registry's
+    /// [`Registry::resolve`] or names a series that is not a histogram.
+    pub fn observe_repeated(&mut self, observations: &[(SeriesId, f64)], times: u64) {
+        if times == 0 {
+            return;
+        }
+        for &(id, v) in observations {
+            let slot = &mut self.slots[id.0];
+            histogram(&mut slot.value).observe_times(v, times);
+            slot.live = true;
+        }
+        for _ in 1..times {
+            for &(id, v) in observations {
+                histogram(&mut self.slots[id.0].value).sum += v;
+            }
+        }
+    }
+
     /// Add `by` to the counter `name{labels}`.
     pub fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
         let id = self.resolve(name, labels, MetricKind::Counter);
@@ -338,6 +372,14 @@ impl Registry {
             }
         }
         Snapshot { families }
+    }
+}
+
+/// The histogram a [`Registry::observe_repeated`] entry names.
+fn histogram(value: &mut MetricValue) -> &mut HistogramValue {
+    match value {
+        MetricValue::Histogram(h) => h,
+        _ => panic!("observations repeated into a series of another kind"),
     }
 }
 
@@ -829,6 +871,45 @@ mod tests {
         assert_ne!(sum(&in_order), sum(&grouped));
         assert_ne!(sum(&in_order), times.to_bits());
         assert_ne!(sum(&grouped), times.to_bits());
+
+        // Replaying the list `k` times gives the passes' bytes, and so
+        // does a list that interleaves a second series with the first.
+        let mut r = Registry::new();
+        let id = r.resolve("busy", &[], MetricKind::Histogram);
+        r.observe_repeated(&[(id, 0.1), (id, 0.2)], k);
+        assert_eq!(
+            serde_json::to_string(&r.snapshot()).unwrap(),
+            serde_json::to_string(&in_order).unwrap()
+        );
+        let mut apply = Registry::new();
+        let mut repeat = Registry::new();
+        let mut ids = Vec::new();
+        for reg in [&mut apply, &mut repeat] {
+            let a = reg.resolve("busy", &[("c", "a")], MetricKind::Histogram);
+            let b = reg.resolve("busy", &[("c", "b")], MetricKind::Histogram);
+            ids.push([(a, 0.1), (b, 3.3), (a, 0.2), (b, 1e-9), (a, 70.0)]);
+        }
+        for times in [0, 1, 3] {
+            for _ in 0..times {
+                for &(id, v) in &ids[0] {
+                    apply.apply(id, MetricOp::Observe(v));
+                }
+            }
+            repeat.observe_repeated(&ids[1], times);
+            assert_eq!(
+                serde_json::to_string(&apply.snapshot()).unwrap(),
+                serde_json::to_string(&repeat.snapshot()).unwrap(),
+                "after {times} more passes"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated into a series of another kind")]
+    fn repeating_into_a_counter_panics() {
+        let mut r = Registry::new();
+        let id = r.resolve("c", &[], MetricKind::Counter);
+        r.observe_repeated(&[(id, 1.0)], 2);
     }
 
     #[test]

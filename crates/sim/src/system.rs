@@ -37,6 +37,16 @@
 //! one held session per video finds every reuse. The model's answer is
 //! exact, so the bytes are those of scheduling every session.
 //!
+//! Such a class also records its channels' busy time once per run of
+//! sessions: the class resolves its receptions into series handles when
+//! it starts and counts the sessions it serves, and the count is written
+//! in one [`Registry::observe_repeated`] step, which gives the bits of
+//! writing each session in turn. It is written when a fresh session of
+//! its video replaces it, before a checkpoint is encoded and when the
+//! sweep finishes, and on a channel that carries more than one video,
+//! before another video's session counts on that channel. The per-video
+//! series are still recorded session by session.
+//!
 //! The simulation is scheme-agnostic: any [`ClientModel`] — a
 //! [`crate::policy::ClientPolicy`] for the tune-at-start schemes, a
 //! [`crate::trace::PausingClient`] for PPB's max-saving client, a
@@ -241,16 +251,9 @@ fn slot<T>(table: &mut Vec<Option<T>>, id: usize) -> &mut Option<T> {
 }
 
 impl SeriesTable {
-    /// Record one session into `rec`: its count, latency and peak buffer
-    /// on the video's series, then each reception's busy time on its
-    /// channel's.
-    fn record(
-        &mut self,
-        rec: &mut Registry,
-        video: VideoId,
-        sc: &SessionScalars,
-        receptions: &[Reception],
-    ) {
+    /// Record one session's count, latency and peak buffer on its
+    /// video's series.
+    fn record(&mut self, rec: &mut Registry, video: VideoId, sc: &SessionScalars) {
         let [sessions, latency, buffer] =
             *slot(&mut self.videos, video.0).get_or_insert_with(|| {
                 let id = video.0.to_string();
@@ -264,32 +267,154 @@ impl SeriesTable {
         rec.apply(sessions, MetricOp::Incr(1));
         rec.apply(latency, MetricOp::Observe(sc.latency));
         rec.apply(buffer, MetricOp::Observe(sc.peak_buffer));
+    }
+}
+
+/// The busy time of a class of sessions: what one session of the class
+/// records on the channels' series, resolved once, and how many of its
+/// sessions have not been written yet.
+#[derive(Default)]
+struct Busy {
+    /// Each reception's duration on its channel's
+    /// `sim_channel_busy_minutes` series, in reception order.
+    observations: Vec<(SeriesId, f64)>,
+    /// The mixed channels among them, each once.
+    mixed: Vec<usize>,
+    /// Sessions served and not yet written.
+    unwritten: u64,
+}
+
+impl Busy {
+    /// Write the unwritten sessions into `reg`, in one step that gives
+    /// the bits of writing them one session at a time.
+    fn write(&mut self, reg: &mut Registry) {
+        reg.observe_repeated(&self.observations, self.unwritten);
+        self.unwritten = 0;
+    }
+}
+
+/// The registry a run records into (the outcome's snapshot), its series
+/// handles, and each video's class of sessions, whose busy time is
+/// written once per run of sessions.
+///
+/// A class's busy time may wait in it only while no other session adds
+/// to the same channel series. A class is written before a fresh session
+/// of its video replaces it, so a channel that carries one video is
+/// exact. A channel that carries several is *mixed*: before a session
+/// of one video counts on it, the class of the video that counted on it
+/// last is written.
+struct Taps {
+    reg: Registry,
+    series: SeriesTable,
+    /// By video, the busy time of the video's class.
+    classes: Vec<Busy>,
+    /// By channel id, whether the plan's channel carries more than one
+    /// video; a channel past its end counts as mixed.
+    mixed: Vec<bool>,
+    /// By mixed channel id, the video that counted a session on it last.
+    writer: Vec<Option<usize>>,
+    /// The busy time of a session no class keeps.
+    alone: Busy,
+}
+
+impl Taps {
+    fn new(reg: Registry, plan: &ChannelPlan) -> Self {
+        let len = plan.channels.iter().map(|ch| ch.id + 1).max().unwrap_or(0);
+        let (mut carried, mut mixed) = (vec![None; len], vec![false; len]);
+        for ch in &plan.channels {
+            for s in &ch.cycle {
+                let video = *carried[ch.id].get_or_insert(s.item.video);
+                mixed[ch.id] |= video != s.item.video;
+            }
+        }
+        Self {
+            reg,
+            series: SeriesTable::default(),
+            classes: Vec::new(),
+            mixed,
+            writer: Vec::new(),
+            alone: Busy::default(),
+        }
+    }
+
+    /// Fill `busy` from one session's `receptions`, with nothing
+    /// unwritten.
+    fn resolve(&mut self, receptions: &[Reception], busy: &mut Busy) {
+        busy.observations.clear();
+        busy.mixed.clear();
+        busy.unwritten = 0;
         for rx in receptions {
-            let busy = *slot(&mut self.channels, rx.channel).get_or_insert_with(|| {
+            let id = *slot(&mut self.series.channels, rx.channel).get_or_insert_with(|| {
                 let id = rx.channel.to_string();
-                rec.resolve(
+                self.reg.resolve(
                     "sim_channel_busy_minutes",
                     &[("channel", &id)],
                     MetricKind::Histogram,
                 )
             });
-            rec.apply(busy, MetricOp::Observe(rx.duration.value()));
+            busy.observations.push((id, rx.duration.value()));
+            if self.mixed.get(rx.channel).copied().unwrap_or(true)
+                && !busy.mixed.contains(&rx.channel)
+            {
+                busy.mixed.push(rx.channel);
+            }
         }
     }
-}
 
-/// The registry a run records into (the outcome's snapshot) and its
-/// series handles.
-struct Taps {
-    reg: Registry,
-    series: SeriesTable,
-}
+    /// Before a session of `video` counts on the mixed `channels`, write
+    /// the class of each other video that counted on one of them last.
+    fn claim(&mut self, video: usize, channels: &[usize]) {
+        for &ch in channels {
+            match slot(&mut self.writer, ch).replace(video) {
+                Some(other) if other != video => {
+                    if let Some(class) = self.classes.get_mut(other) {
+                        class.write(&mut self.reg);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
 
-impl Taps {
-    fn new(reg: Registry) -> Self {
-        Self {
-            reg,
-            series: SeriesTable::default(),
+    /// Count one more session of `video`'s class.
+    fn count(&mut self, video: usize) {
+        let class = &mut self.classes[video];
+        class.unwritten += 1;
+        if !class.mixed.is_empty() {
+            let mixed = std::mem::take(&mut class.mixed);
+            self.claim(video, &mixed);
+            self.classes[video].mixed = mixed;
+        }
+    }
+
+    /// Start `video`'s class anew from a fresh session that made
+    /// `receptions`: write the class it replaces, then count the
+    /// session.
+    fn start(&mut self, video: usize, receptions: &[Reception]) {
+        if video >= self.classes.len() {
+            self.classes.resize_with(video + 1, Busy::default);
+        }
+        let mut class = std::mem::take(&mut self.classes[video]);
+        class.write(&mut self.reg);
+        self.resolve(receptions, &mut class);
+        self.classes[video] = class;
+        self.count(video);
+    }
+
+    /// Write a session of `video` that no class keeps, at once.
+    fn write_alone(&mut self, video: usize, receptions: &[Reception]) {
+        let mut alone = std::mem::take(&mut self.alone);
+        self.resolve(receptions, &mut alone);
+        self.claim(video, &alone.mixed);
+        alone.unwritten = 1;
+        alone.write(&mut self.reg);
+        self.alone = alone;
+    }
+
+    /// Write every class's unwritten sessions.
+    fn write_all(&mut self) {
+        for class in &mut self.classes {
+            class.write(&mut self.reg);
         }
     }
 }
@@ -340,7 +465,7 @@ impl<'s> Sweep<'s> {
             index,
             cursor: 0,
             active: ActiveSweep::default(),
-            taps: Taps::new(Registry::new()),
+            taps: Taps::new(Registry::new(), sim.plan),
             taken: 0,
             held: Vec::new(),
             events: Vec::new(),
@@ -357,7 +482,7 @@ impl<'s> Sweep<'s> {
     ) -> Result<(Self, Vec<SessionScalars>), CheckpointError> {
         let mut sweep = Self::new(sim, index, slice);
         sweep.active = cp.check_fits(slice)?;
-        sweep.taps = Taps::new(Registry::from_snapshot(&cp.snapshot));
+        sweep.taps.reg = Registry::from_snapshot(&cp.snapshot);
         sweep.cursor = cp.scalars.len();
         Ok((sweep, cp.scalars))
     }
@@ -422,6 +547,7 @@ impl<'s> Sweep<'s> {
             let Some(ck) = checkpoints.as_mut().filter(|ck| done % ck.every == 0) else {
                 continue;
             };
+            self.taps.write_all();
             let encoded = encode_state(self.active.peak(), scalars, &self.taps.reg.snapshot());
             self.taken += 1;
             if let Verdict::Kill = (ck.probe)(Probe::Checkpoint {
@@ -451,6 +577,7 @@ impl<'s> Sweep<'s> {
         }
         let stats = sweep_stats(&[self.slice.len()]);
         let peak = self.active.peak();
+        self.taps.write_all();
         let mut reg = self.taps.reg;
         reg.gauge_max("sim_peak_active_sessions", &[], peak as f64);
         for (kind, n) in [
@@ -498,7 +625,9 @@ impl<'a> SystemSim<'a> {
     /// every execution path shares; bitwise identity between serial,
     /// sharded and checkpoint-resumed runs rests on this being the
     /// *only* copy of them. Derives the session's scalars once, records
-    /// them into `taps`, and returns them with the trace.
+    /// them into `taps`, counts the session's busy time in its video's
+    /// class (or, for a session no class keeps, writes it at once), and
+    /// returns the scalars with the trace.
     ///
     /// `events` is the sweep's scratch for a fresh session's rate-change
     /// list. `held` is the sweep's last session per video. When the model
@@ -506,7 +635,7 @@ impl<'a> SystemSim<'a> {
     /// one with the new arrival, tick and index and the latency they
     /// give; otherwise it is scheduled and, if the model reuses
     /// sessions at all (it reuses a fresh one at its own arrival),
-    /// becomes the video's held session. The trace comes back borrowed
+    /// becomes the video's held session and starts its class anew. The trace comes back borrowed
     /// from `held` where it can; with `owned` (the caller keeps it) a
     /// fresh trace is copied into the held one's buffers and returned
     /// itself, so each session is copied once.
@@ -531,6 +660,7 @@ impl<'a> SystemSim<'a> {
                     latency: h.trace.startup_latency().value(),
                     ..h.sc
                 };
+                taps.count(r.video.0);
                 None
             }
             _ => {
@@ -554,24 +684,28 @@ impl<'a> SystemSim<'a> {
                 };
                 let slot = slot(held, r.video.0);
                 if slot.is_none() && !self.model.reuses(index, r.video, &s, r.at) {
-                    Some((sc, s))
-                } else if owned {
-                    match slot {
-                        Some(h) => {
-                            h.trace.clone_from(&s);
-                            h.sc = sc;
-                        }
-                        None => {
-                            *slot = Some(Held {
-                                trace: s.clone(),
-                                sc,
-                            })
-                        }
-                    }
+                    taps.write_alone(r.video.0, &s.receptions);
                     Some((sc, s))
                 } else {
-                    *slot = Some(Held { trace: s, sc });
-                    None
+                    taps.start(r.video.0, &s.receptions);
+                    if owned {
+                        match slot {
+                            Some(h) => {
+                                h.trace.clone_from(&s);
+                                h.sc = sc;
+                            }
+                            None => {
+                                *slot = Some(Held {
+                                    trace: s.clone(),
+                                    sc,
+                                })
+                            }
+                        }
+                        Some((sc, s))
+                    } else {
+                        *slot = Some(Held { trace: s, sc });
+                        None
+                    }
                 }
             }
         };
@@ -580,8 +714,7 @@ impl<'a> SystemSim<'a> {
             (None, Some(h)) => (h.sc, Cow::Borrowed(&h.trace)),
             (None, None) => unreachable!("a session not returned is held"),
         };
-        taps.series
-            .record(&mut taps.reg, r.video, &sc, &trace.receptions);
+        taps.series.record(&mut taps.reg, r.video, &sc);
         Ok((sc, trace))
     }
 }
