@@ -64,14 +64,6 @@ pub struct CheckpointState {
     pub(crate) snapshot: Snapshot,
 }
 
-impl CheckpointState {
-    /// Sessions the shard had served when this checkpoint was taken.
-    #[must_use]
-    pub fn sessions_done(&self) -> u64 {
-        self.scalars.len() as u64
-    }
-}
-
 /// Why a checkpoint could not be decoded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
@@ -212,12 +204,6 @@ impl ShardRun {
     #[must_use]
     pub fn checkpoints_taken(&self) -> u64 {
         self.checkpoints_taken
-    }
-
-    /// Sessions this shard served.
-    #[must_use]
-    pub fn sessions(&self) -> usize {
-        self.scalars.len()
     }
 }
 
@@ -749,7 +735,7 @@ mod tests {
         let cp = sample_state();
         let bytes = encode(&cp);
         let back = decode_state(&bytes).unwrap();
-        assert_eq!(back.sessions_done(), 1);
+        assert_eq!(back.scalars.len(), 1);
         assert_eq!(back.peak_active, cp.peak_active);
         // Bit patterns, not just values: -0.0 and friends must survive.
         for (a, b) in [
