@@ -357,8 +357,9 @@ fn study(name: &str) -> &'static dyn Study {
     sb_analysis::study::find(name).expect("subcommand registered in sb_analysis::study")
 }
 
-/// The `hybrid` single-server report (the `--rates` study mode
-/// dispatches through the registry instead).
+/// The `hybrid` single-server report, and with `--json` the same
+/// report as JSON (the `--rates` study mode dispatches through the
+/// registry instead).
 fn cmd_hybrid(opts: &StudyOpts) -> Result<(), String> {
     let b = opts.get_f64("bandwidth", 600.0)?;
     let titles = opts.get_usize("titles", 60)?;
@@ -368,6 +369,13 @@ fn cmd_hybrid(opts: &StudyOpts) -> Result<(), String> {
     let width = opts.get_usize("width", 52)? as u64;
     let common = CommonArgs::parse(opts)?;
     common.reject_shards("hybrid")?;
+    if common.manifest.is_some() {
+        return Err(
+            "--manifest applies only to `hybrid --rates`; the single-server report runs no \
+             timed stages"
+                .into(),
+        );
+    }
     let seed = opts.get_u64("seed", 42)?;
     let catalog = Catalog::paper_defaults(titles);
     let requests = PoissonArrivals::new(rate, seed)
@@ -399,7 +407,7 @@ fn cmd_hybrid(opts: &StudyOpts) -> Result<(), String> {
         report.multicast.mean_wait,
         report.multicast.mean_batch_size
     );
-    Ok(())
+    common.maybe_write_json(&report)
 }
 
 /// One missing-shard marker, serialized for `--json`.

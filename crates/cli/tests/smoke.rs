@@ -491,3 +491,33 @@ fn paper_studies_are_thread_count_invariant() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn single_server_hybrid_writes_its_json_and_refuses_a_manifest() {
+    let dir = std::env::temp_dir().join(format!("sbcast-hybrid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("hybrid.json");
+    let out = sbcast(&[
+        "hybrid",
+        "--horizon",
+        "60",
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "hybrid --json must run");
+    let report = std::fs::read_to_string(&json).expect("hybrid --json writes its report");
+    for field in ["broadcast_worst_latency", "multicast_channels", "mean_wait"] {
+        assert!(report.contains(field), "{field} missing from {report}");
+    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("hybrid server:"), "got: {stdout}");
+
+    let manifest = dir.join("manifest.json");
+    let out = sbcast(&["hybrid", "--manifest", manifest.to_str().unwrap()]);
+    assert_clean_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--manifest"), "got: {stderr}");
+    assert!(out.stdout.is_empty(), "refused before any output");
+    assert!(!manifest.exists(), "a refused --manifest writes nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
