@@ -635,10 +635,10 @@ impl<'a> SystemSim<'a> {
     /// one with the new arrival, tick and index and the latency they
     /// give; otherwise it is scheduled and, if the model reuses
     /// sessions at all (it reuses a fresh one at its own arrival),
-    /// becomes the video's held session and starts its class anew. The trace comes back borrowed
-    /// from `held` where it can; with `owned` (the caller keeps it) a
-    /// fresh trace is copied into the held one's buffers and returned
-    /// itself, so each session is copied once.
+    /// becomes the video's held session and starts its class anew. The
+    /// trace comes back borrowed from `held` where it can; with `owned`
+    /// (the caller keeps it) a fresh trace is copied into the held one's
+    /// buffers and returned itself, so each session is copied once.
     #[allow(clippy::too_many_arguments)]
     fn serve<'h>(
         &self,
